@@ -63,7 +63,10 @@ pub trait PseudoTransientProblem {
     /// Evaluate `R(q)` into `out` (the full-order spatial residual).
     fn residual(&self, q: &[f64], out: &mut [f64]);
 
-    /// Assemble the first-order analytic Jacobian `dR/dq` at `q`.
+    /// Assemble the first-order analytic Jacobian `dR/dq` at `q`.  Every
+    /// call must return the same sparsity pattern, whatever `q`: the ΨNKS
+    /// driver refactors its preconditioner and refills its block operator
+    /// on the pattern of the first call.
     fn jacobian(&self, q: &[f64]) -> CsrMatrix;
 
     /// Per-unknown `V_i / dtau_i` at `CFL = 1`; the ΨNKS driver divides by
