@@ -222,43 +222,34 @@ impl IluFactors {
         // Dense work row with a stamp-based membership mask.
         let mut w = vec![0.0f64; n];
         let mut stamp = vec![usize::MAX; n];
-        // Position of column j inside the current row's L or U value slice.
-        let mut pos = vec![usize::MAX; n];
 
         for i in 0..n {
             // Scatter the pattern of row i.
             let lr = self.l_ptr[i]..self.l_ptr[i + 1];
             let ur = self.u_ptr[i]..self.u_ptr[i + 1];
-            for (slot, &j) in self.l_idx[lr.clone()].iter().enumerate() {
-                let j = j as usize;
-                stamp[j] = i;
-                w[j] = 0.0;
-                pos[j] = self.l_ptr[i] + slot;
-            }
-            for (slot, &j) in self.u_idx[ur.clone()].iter().enumerate() {
-                let j = j as usize;
-                stamp[j] = i;
-                w[j] = 0.0;
-                pos[j] = self.u_ptr[i] + slot;
+            for &j in self.l_idx[lr.clone()].iter().chain(&self.u_idx[ur.clone()]) {
+                stamp[j as usize] = i;
+                w[j as usize] = 0.0;
             }
             stamp[i] = i;
             w[i] = 0.0;
             // Scatter A's row i (entries outside the pattern cannot exist:
             // the symbolic pattern contains A's pattern).
-            for (k, &c) in a.row_cols(i).iter().enumerate() {
-                w[c as usize] = a.row_vals(i)[k];
+            for (&c, &v) in a.row_cols(i).iter().zip(a.row_vals(i)) {
+                w[c as usize] = v;
             }
             // Eliminate using previously factored rows, ascending column order
             // (l_idx rows are sorted by construction).
-            for li in lr.clone() {
-                let k = self.l_idx[li] as usize;
+            for &k in &self.l_idx[lr.clone()] {
+                let k = k as usize;
                 let lik = w[k] * inv_diag[k];
                 w[k] = lik;
                 // Update against U row k, dropping fill outside the pattern.
-                for ui in self.u_ptr[k]..self.u_ptr[k + 1] {
-                    let j = self.u_idx[ui] as usize;
+                let uk = self.u_ptr[k]..self.u_ptr[k + 1];
+                for (&j, &ukj) in self.u_idx[uk.clone()].iter().zip(&uvals[uk]) {
+                    let j = j as usize;
                     if stamp[j] == i {
-                        w[j] -= lik * uvals[ui];
+                        w[j] -= lik * ukj;
                     }
                 }
             }
