@@ -615,8 +615,11 @@ mod tests {
         let _g = guard();
         arm(32, None);
         let stop = Arc::new(AtomicBool::new(false));
+        // Set after the writer's first push, which registers its ring.
+        let started = Arc::new(AtomicBool::new(false));
         let writer = {
             let stop = Arc::clone(&stop);
+            let started = Arc::clone(&started);
             std::thread::Builder::new()
                 .name("bb-hammer".into())
                 .spawn(move || {
@@ -624,11 +627,19 @@ mod tests {
                     while !stop.load(Ordering::Relaxed) {
                         counter("bb_dump/hammer", n as f64);
                         n += 1;
+                        if n == 1 {
+                            started.store(true, Ordering::Release);
+                        }
                     }
                     n
                 })
                 .unwrap()
         };
+        // Wait until the writer is hammering: otherwise the dumps below can
+        // all finish before it is first scheduled.
+        while !started.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
         // Dump repeatedly while the writer hammers its ring.
         let mut last = String::new();
         for _ in 0..20 {
