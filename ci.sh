@@ -25,7 +25,12 @@ if [ -n "${CI_LINT_ONLY:-}" ]; then
 fi
 
 cargo build --release --workspace
-cargo test -q --workspace
+# --no-fail-fast: one failing crate must not hide the results of the rest.
+cargo test -q --workspace --no-fail-fast
+# The benchmark's self-tests: every workload on tiny meshes on both listed
+# seeds, wall-force references and ledger sums, so a solver change that
+# breaks the benchmark's checks fails CI.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml --target-dir target
 if [ -z "${CI_SKIP_LINT:-}" ]; then
     run_lint
 fi
@@ -93,7 +98,7 @@ grep -q "regressions: 0" "$smoke_dir/diff.log"
 # team, so the _par kernels and their determinism contract run in CI.  The
 # report must record the thread count, and a threaded self-diff must be
 # clean (threading cannot perturb the metrics the gate compares).
-FUN3D_THREADS=2 cargo test -q --workspace
+FUN3D_THREADS=2 cargo test -q --workspace --no-fail-fast
 ./target/release/fun3d-bench run --suite smoke --threads 2 \
     --save-baseline "$smoke_dir/smoke-t2.json" \
     --events-dir "$smoke_dir/runs-t2" > "$smoke_dir/save-t2.log"
