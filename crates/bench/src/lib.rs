@@ -652,6 +652,13 @@ pub fn time_median<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     times[times.len() / 2]
 }
 
+/// Held by the test that profiles parallel regions and by the test that
+/// sweeps team sizes: the region profiler is process-global, so a sweep
+/// running inside the profiled window would split its regions by team
+/// size (`par/{label}@n{nthreads}`).
+#[cfg(test)]
+pub(crate) static PROFILER_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;

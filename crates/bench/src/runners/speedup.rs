@@ -264,6 +264,9 @@ mod tests {
 
     #[test]
     fn speedup_reports_scaling_metrics() {
+        let _g = crate::PROFILER_TEST_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let args = BenchArgs {
             scale: 0.02,
             reps: 1,

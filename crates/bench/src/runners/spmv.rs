@@ -216,6 +216,9 @@ mod tests {
     /// process-global.)
     #[test]
     fn profiled_run_reports_regions_and_bandwidth() {
+        let _g = crate::PROFILER_TEST_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let mut args = BenchArgs {
             scale: 0.02,
             quiet: true,
