@@ -3,7 +3,8 @@
 //! The two benchmark configurations run on tiny meshes: the tuned
 //! incompressible Table 1 row (interlaced, RCM + sorted edges, BCSR b = 4,
 //! point ILU(0), GMRES(20)) and the compressible matrix-free solve with
-//! ILU(0) refreshed every 4th step on a 2-thread team.  Each test checks
+//! ILU(0) refreshed every 4th step on a 2-thread team.  The compressible
+//! solve also runs on the benchmark's own 15×8×8 mesh.  Each test checks
 //! the step count, every step's Krylov iterations and the bits of every
 //! residual norm (the initial one first) against the values below.
 //!
@@ -47,6 +48,19 @@ fn tuned_options() -> PseudoTransientOptions {
         forcing: Forcing::Constant,
         pc_refresh: 1,
     }
+}
+
+/// The compressible matrix-free options: ILU(0) refreshed every 4th step
+/// on a 2-thread team.
+fn compressible_options() -> PseudoTransientOptions {
+    let mut opts = tuned_options();
+    opts.cfl0 = 2.0;
+    opts.krylov.rtol = 1e-3;
+    opts.krylov.par = ParCtx::new(2);
+    opts.pc_refresh = 4;
+    opts.matrix_free = true;
+    opts.bcsr_block = None;
+    opts
 }
 
 /// Solve `model` on a `dims` bump channel (seed 1) in the tuned layout.
@@ -173,13 +187,90 @@ fn compressible_matrix_free_history_is_pinned() {
         0x3e864980b9fd69e9,
         0x3deba8a874d95bb9,
     ];
-    let mut opts = tuned_options();
-    opts.cfl0 = 2.0;
-    opts.krylov.rtol = 1e-3;
-    opts.krylov.par = ParCtx::new(2);
-    opts.pc_refresh = 4;
-    opts.matrix_free = true;
-    opts.bcsr_block = None;
-    let h = solve((8, 6, 6), FlowModel::compressible(), &opts);
+    let h = solve(
+        (8, 6, 6),
+        FlowModel::compressible(),
+        &compressible_options(),
+    );
     check("compressible matrix-free 8x6x6", &h, ITERS, RESIDUAL_BITS);
+}
+
+/// The compressible configuration on the benchmark's own 15×8×8 mesh.
+/// Its 4,800 unknowns exceed the 4,096 work items from which the team's
+/// helpers may fork (the 8×6×6 case has 1,440), so this pins that where
+/// the chunks run never moves the numerics.
+#[test]
+fn compressible_matrix_free_benchmark_mesh_history_is_pinned() {
+    const ITERS: &[usize] = &[
+        2, 4, 6, 8, 5, 11, 20, 19, 13, 13, 13, 13, 12, 12, 13, 13, 12, 13, 13, 13, 13, 13, 14, 14,
+        14, 14, 14, 14, 14, 14, 14, 14, 14, 15, 15, 15, 15, 16, 16, 17, 16, 17, 18, 20, 19, 20, 22,
+        27, 22, 26, 27, 25, 31, 32, 30, 31, 31, 94,
+    ];
+    const RESIDUAL_BITS: &[u64] = &[
+        0x3fb035d084793159,
+        0x3fa6afc4df665ecb,
+        0x3f9dce857bfab793,
+        0x3f93025985f8fb45,
+        0x3f8655424ae43961,
+        0x3f756d03d9f56138,
+        0x3f5c43ca29d1183e,
+        0x3f54c4090e6b76e0,
+        0x3f58278090a36d41,
+        0x3f592aa2108aae45,
+        0x3f594fb1d906cb1d,
+        0x3f5933821d11b998,
+        0x3f5900e4eae9a684,
+        0x3f58c57943d2d212,
+        0x3f587ffe8c524dd7,
+        0x3f582b5b2b1cae15,
+        0x3f57d1653aa884cf,
+        0x3f5774de251796c6,
+        0x3f570a4be07b6a1f,
+        0x3f569b21d1895bb1,
+        0x3f5625c01ca70f1b,
+        0x3f55aa9434f8eb97,
+        0x3f552a1a75d8167b,
+        0x3f549d87b701708e,
+        0x3f54105b8e407f4f,
+        0x3f53808786cd4b99,
+        0x3f52eb5d570c106e,
+        0x3f5251c7c630483f,
+        0x3f51b43c8b13c283,
+        0x3f5114598848ac94,
+        0x3f5070020646e910,
+        0x3f4f90a3e32c15f6,
+        0x3f4e3b7a2268dcec,
+        0x3f4ce3e7a270bf2a,
+        0x3f4b81918353ca8a,
+        0x3f4a1e2fc3536a18,
+        0x3f48b735cc919f1b,
+        0x3f474dde5b9c4116,
+        0x3f45de925f522742,
+        0x3f446ea7ac6ddb61,
+        0x3f42fd602f81faea,
+        0x3f41893df0282d16,
+        0x3f4014ea3cb943c9,
+        0x3f3d415c1a0e6af5,
+        0x3f3a58dc2194f428,
+        0x3f376cbdde6a80e5,
+        0x3f34851b3b7217bc,
+        0x3f31a0dd2427fd11,
+        0x3f2d86115423a2cf,
+        0x3f27e6088b96af9e,
+        0x3f2269f7b047a214,
+        0x3f1a60056bae13d2,
+        0x3f10c3a510691fcc,
+        0x3f01fe29a0173273,
+        0x3ef88469da3db109,
+        0x3ed28da84a645e48,
+        0x3e9ca042a806f8c5,
+        0x3e09238cd8659393,
+        0x3da110edbb95dcbd,
+    ];
+    let h = solve(
+        (15, 8, 8),
+        FlowModel::compressible(),
+        &compressible_options(),
+    );
+    check("compressible matrix-free 15x8x8", &h, ITERS, RESIDUAL_BITS);
 }
