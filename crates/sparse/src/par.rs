@@ -26,9 +26,12 @@ use std::ops::Range;
 use std::time::Instant;
 
 /// Below this many work items the helpers run their chunks on the calling
-/// thread instead of spawning: a thread spawn costs ~10µs, which dwarfs a
-/// small kernel.  The chunking is identical either way, so the numerics do
-/// not change — only where the chunks execute.
+/// thread instead of spawning: one 2-thread `thread::scope` region costs
+/// 55–90 µs on a 2-vCPU host, which dwarfs a small kernel.  SpMV rows,
+/// flux edges and triangular-solve rows carry enough work per item to pay
+/// for it from here; the BLAS-1 helpers pass their own, larger minimum.
+/// The chunking is identical either way, so the numerics do not change —
+/// only where the chunks execute.
 const PAR_MIN_N: usize = 4096;
 
 /// A shared-memory parallel context: a thread count plus the contiguous
@@ -97,8 +100,13 @@ impl ParCtx {
         start..start + len
     }
 
-    fn should_spawn(&self, n: usize) -> bool {
-        self.nthreads > 1 && n >= PAR_MIN_N
+    fn should_spawn(&self, n: usize, min_n: usize) -> bool {
+        self.nthreads > 1 && n >= min_n
+    }
+
+    /// Whether [`Self::parallel_for`] over `n` items forks worker threads.
+    pub(crate) fn forks(&self, n: usize) -> bool {
+        self.should_spawn(n, PAR_MIN_N)
     }
 
     /// Run `body(t, range)` over each thread's chunk of `0..n`.  Empty
@@ -109,10 +117,11 @@ impl ParCtx {
     where
         F: Fn(usize, Range<usize>) + Sync,
     {
+        let spawn = self.forks(n);
         if profile::is_enabled() {
-            return self.parallel_for_profiled(label, n, body);
+            return self.parallel_for_profiled(label, n, spawn, body);
         }
-        if !self.should_spawn(n) {
+        if !spawn {
             for t in 0..self.nthreads {
                 let r = self.chunk(n, t);
                 if !r.is_empty() {
@@ -136,13 +145,13 @@ impl ParCtx {
     /// [`Self::parallel_for`] with per-thread busy timing: same chunks, same
     /// spawn decision, plus one `Instant` pair around each body call and one
     /// around the whole fork/join.
-    fn parallel_for_profiled<F>(&self, label: &'static str, n: usize, body: F)
+    fn parallel_for_profiled<F>(&self, label: &'static str, n: usize, spawn: bool, body: F)
     where
         F: Fn(usize, Range<usize>) + Sync,
     {
         let wall0 = Instant::now();
         let mut busy = vec![0.0f64; self.nthreads];
-        if !self.should_spawn(n) {
+        if !spawn {
             for t in 0..self.nthreads {
                 let r = self.chunk(n, t);
                 if !r.is_empty() {
@@ -183,10 +192,27 @@ impl ParCtx {
         R: Send,
         F: Fn(usize, Range<usize>) -> R + Sync,
     {
+        self.map_chunks_with_min(label, n, PAR_MIN_N, f)
+    }
+
+    /// [`Self::map_chunks`] that forks only from `min_n` items up, for
+    /// kernels too light per item to pay for a fork at [`PAR_MIN_N`].
+    pub(crate) fn map_chunks_with_min<R, F>(
+        &self,
+        label: &'static str,
+        n: usize,
+        min_n: usize,
+        f: F,
+    ) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(usize, Range<usize>) -> R + Sync,
+    {
+        let spawn = self.should_spawn(n, min_n);
         if profile::is_enabled() {
-            return self.map_chunks_profiled(label, n, f);
+            return self.map_chunks_profiled(label, n, spawn, f);
         }
-        if !self.should_spawn(n) {
+        if !spawn {
             return (0..self.nthreads).map(|t| f(t, self.chunk(n, t))).collect();
         }
         std::thread::scope(|s| {
@@ -205,14 +231,14 @@ impl ParCtx {
     }
 
     /// [`Self::map_chunks`] with per-thread busy timing.
-    fn map_chunks_profiled<R, F>(&self, label: &'static str, n: usize, f: F) -> Vec<R>
+    fn map_chunks_profiled<R, F>(&self, label: &'static str, n: usize, spawn: bool, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize, Range<usize>) -> R + Sync,
     {
         let wall0 = Instant::now();
         let mut busy = vec![0.0f64; self.nthreads];
-        let out: Vec<R> = if !self.should_spawn(n) {
+        let out: Vec<R> = if !spawn {
             (0..self.nthreads)
                 .map(|t| {
                     let b0 = Instant::now();
@@ -268,6 +294,23 @@ impl ParCtx {
         T: Send,
         F: Fn(usize, Range<usize>, &mut [T]) + Sync,
     {
+        self.parallel_for_slices_with_min(label, data, granularity, PAR_MIN_N, body)
+    }
+
+    /// [`Self::parallel_for_slices`] that forks only from `min_n` work units
+    /// up, for kernels too light per unit to pay for a fork at
+    /// [`PAR_MIN_N`].
+    pub(crate) fn parallel_for_slices_with_min<T, F>(
+        &self,
+        label: &'static str,
+        data: &mut [T],
+        granularity: usize,
+        min_n: usize,
+        body: F,
+    ) where
+        T: Send,
+        F: Fn(usize, Range<usize>, &mut [T]) + Sync,
+    {
         assert!(granularity > 0, "parallel_for_slices: zero granularity");
         assert_eq!(
             data.len() % granularity,
@@ -276,10 +319,11 @@ impl ParCtx {
             data.len()
         );
         let n = data.len() / granularity;
+        let spawn = self.should_spawn(n, min_n);
         if profile::is_enabled() {
-            return self.parallel_for_slices_profiled(label, data, granularity, n, body);
+            return self.parallel_for_slices_profiled(label, data, granularity, n, spawn, body);
         }
-        if !self.should_spawn(n) {
+        if !spawn {
             for t in 0..self.nthreads {
                 let r = self.chunk(n, t);
                 if !r.is_empty() {
@@ -313,6 +357,7 @@ impl ParCtx {
         data: &mut [T],
         granularity: usize,
         n: usize,
+        spawn: bool,
         body: F,
     ) where
         T: Send,
@@ -320,7 +365,7 @@ impl ParCtx {
     {
         let wall0 = Instant::now();
         let mut busy = vec![0.0f64; self.nthreads];
-        if !self.should_spawn(n) {
+        if !spawn {
             for t in 0..self.nthreads {
                 let r = self.chunk(n, t);
                 if !r.is_empty() {

@@ -9,9 +9,19 @@
 //! team.  Elementwise updates are bitwise identical to the sequential
 //! kernels; the reductions (`dot_par`/`norm2_par`) combine per-thread
 //! partial sums in thread order, so they are deterministic for a fixed
-//! thread count and agree with the sequential result to rounding.
+//! thread count and agree with the sequential result to rounding.  Below a
+//! break-even length of 2^19 elements the chunks run inline on the calling
+//! thread, with the same boundaries and therefore the same results.
 
 use crate::par::ParCtx;
+
+/// Fewest elements at which the BLAS-1 `_par` helpers fork.  A BLAS-1 op
+/// does one or two flops per 16–24 bytes moved, so a fork has to split a
+/// long vector to pay for itself.  On a 2-vCPU host the 2-thread time per
+/// op over the 1-thread time was 20× at 4,800 elements, 1.17× at 262,144
+/// and 0.97× at 524,288 (the `par_sweep` groups of `cargo bench -p
+/// fun3d-bench --bench vecops` re-measure it).
+const BLAS1_PAR_MIN_N: usize = 1 << 19;
 
 /// `y <- alpha * x + y`.
 ///
@@ -77,7 +87,9 @@ pub fn axpy_par(alpha: f64, x: &[f64], y: &mut [f64], ctx: &ParCtx) {
     if ctx.nthreads() == 1 {
         return axpy(alpha, x, y);
     }
-    ctx.parallel_for_slices("axpy", y, 1, |_, r, ysub| axpy(alpha, &x[r], ysub));
+    ctx.parallel_for_slices_with_min("axpy", y, 1, BLAS1_PAR_MIN_N, |_, r, ysub| {
+        axpy(alpha, &x[r], ysub)
+    });
 }
 
 /// Parallel [`axpby`] (elementwise; bitwise identical to sequential).
@@ -86,7 +98,9 @@ pub fn axpby_par(alpha: f64, x: &[f64], beta: f64, y: &mut [f64], ctx: &ParCtx) 
     if ctx.nthreads() == 1 {
         return axpby(alpha, x, beta, y);
     }
-    ctx.parallel_for_slices("axpby", y, 1, |_, r, ysub| axpby(alpha, &x[r], beta, ysub));
+    ctx.parallel_for_slices_with_min("axpby", y, 1, BLAS1_PAR_MIN_N, |_, r, ysub| {
+        axpby(alpha, &x[r], beta, ysub)
+    });
 }
 
 /// Parallel [`waxpby`] (elementwise; bitwise identical to sequential).
@@ -96,7 +110,7 @@ pub fn waxpby_par(alpha: f64, x: &[f64], beta: f64, y: &[f64], w: &mut [f64], ct
     if ctx.nthreads() == 1 {
         return waxpby(alpha, x, beta, y, w);
     }
-    ctx.parallel_for_slices("waxpby", w, 1, |_, r, wsub| {
+    ctx.parallel_for_slices_with_min("waxpby", w, 1, BLAS1_PAR_MIN_N, |_, r, wsub| {
         waxpby(alpha, &x[r.clone()], beta, &y[r], wsub)
     });
 }
@@ -109,9 +123,11 @@ pub fn dot_par(x: &[f64], y: &[f64], ctx: &ParCtx) -> f64 {
     if ctx.nthreads() == 1 {
         return dot(x, y);
     }
-    ctx.map_chunks("dot", x.len(), |_, r| dot(&x[r.clone()], &y[r]))
-        .iter()
-        .sum()
+    ctx.map_chunks_with_min("dot", x.len(), BLAS1_PAR_MIN_N, |_, r| {
+        dot(&x[r.clone()], &y[r])
+    })
+    .iter()
+    .sum()
 }
 
 /// Parallel [`norm2`] built on [`dot_par`]'s ordered reduction.
