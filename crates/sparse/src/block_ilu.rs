@@ -38,7 +38,7 @@ pub struct BlockIluFactors {
     /// Inverted diagonal blocks, `b*b` each.
     inv_diag: Vec<f64>,
     /// Level sets over block rows for the parallel sweeps (pattern-only,
-    /// computed once at factor time).
+    /// computed once at factor time, widest level included).
     l_levels: LevelSchedule,
     u_levels: LevelSchedule,
     /// Micro-kernel tier the sweeps dispatch to (inherited from the matrix
@@ -380,9 +380,10 @@ impl BlockIluFactors {
     /// block rows within a level have no mutual dependencies, each writes
     /// only its own `b`-entry slice of `x`, and the per-row arithmetic is
     /// the exact sequential sequence — bitwise identical for any thread
-    /// count.
+    /// count.  When no level has enough block rows for `ctx` to fork on,
+    /// the natural-order sequential sweep runs instead.
     pub fn solve_in_place_par(&self, x: &mut [f64], ctx: &ParCtx) {
-        if ctx.nthreads() == 1 {
+        if !(self.l_levels.forks_on(ctx) || self.u_levels.forks_on(ctx)) {
             return self.solve_in_place(x);
         }
         if self.kernel == BlockKernel::Generic {

@@ -94,6 +94,8 @@ pub(crate) struct LevelSchedule {
     /// Row indices grouped by level.  Rows within one level have no
     /// dependencies on each other and may be processed concurrently.
     pub rows: Vec<u32>,
+    /// Rows in the widest level.
+    pub widest: usize,
 }
 
 impl LevelSchedule {
@@ -103,6 +105,13 @@ impl LevelSchedule {
 
     pub fn level(&self, l: usize) -> &[u32] {
         &self.rows[self.ptr[l]..self.ptr[l + 1]]
+    }
+
+    /// Whether a level-scheduled sweep on `ctx` forks on any level.  When
+    /// it does not, walking the levels only adds indirection and a pass
+    /// over the team's chunks per level to the natural-order sweep.
+    pub fn forks_on(&self, ctx: &ParCtx) -> bool {
+        ctx.forks(self.widest)
     }
 }
 
@@ -143,13 +152,18 @@ pub(crate) fn level_schedule(n: usize, ptr: &[usize], idx: &[u32], reverse: bool
         counts[l + 1] += counts[l];
     }
     let out_ptr = counts.clone();
+    let widest = out_ptr.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
     let mut next = counts;
     let mut rows = vec![0u32; n];
     for (i, &d) in depth.iter().enumerate() {
         rows[next[d as usize]] = i as u32;
         next[d as usize] += 1;
     }
-    LevelSchedule { ptr: out_ptr, rows }
+    LevelSchedule {
+        ptr: out_ptr,
+        rows,
+        widest,
+    }
 }
 
 /// An ILU(k) factorization `A ~= L U` with unit-diagonal `L` and inverted
@@ -165,7 +179,8 @@ pub struct IluFactors {
     u_ptr: Vec<usize>,
     u_idx: Vec<u32>,
     vals: FactorValues,
-    /// Level sets for the parallel forward (L) and backward (U) sweeps.
+    /// Level sets for the parallel forward (L) and backward (U) sweeps,
+    /// widest level included.  Pattern-only, so `refactor` keeps them.
     l_levels: LevelSchedule,
     u_levels: LevelSchedule,
 }
@@ -403,9 +418,10 @@ impl IluFactors {
     /// the symbolic pattern); rows within a level have no mutual
     /// dependencies and are partitioned across the team.  Each `x[i]` is
     /// produced by the exact sequential row loop, so the result is bitwise
-    /// identical for any thread count.
+    /// identical for any thread count.  When no level is wide enough for
+    /// `ctx` to fork on, the natural-order sequential sweep runs instead.
     pub fn solve_in_place_par(&self, x: &mut [f64], ctx: &ParCtx) {
-        if ctx.nthreads() == 1 {
+        if !(self.l_levels.forks_on(ctx) || self.u_levels.forks_on(ctx)) {
             return self.solve_in_place(x);
         }
         match &self.vals {
