@@ -86,6 +86,8 @@ pub trait PseudoTransientProblem {
 pub struct FdJacobianOperator<'p, P: PseudoTransientProblem> {
     problem: &'p P,
     q: Vec<f64>,
+    /// `‖q‖₂`, fixed for the operator's life; sets the differencing step.
+    norm_q: f64,
     r0: Vec<f64>,
     /// Per-unknown diagonal shift `V_i / (CFL * dtau_i)`.
     shift: Vec<f64>,
@@ -104,6 +106,7 @@ impl<'p, P: PseudoTransientProblem> FdJacobianOperator<'p, P> {
         assert_eq!(shift.len(), n);
         Self {
             problem,
+            norm_q: fun3d_sparse::vec_ops::norm2(&q),
             q,
             r0,
             shift,
@@ -124,8 +127,7 @@ impl<P: PseudoTransientProblem> LinearOperator for FdJacobianOperator<'_, P> {
             return;
         }
         // PETSc-style differencing parameter.
-        let norm_q = fun3d_sparse::vec_ops::norm2(&self.q);
-        let eps = 1e-7 * (1.0 + norm_q) / norm_x;
+        let eps = 1e-7 * (1.0 + self.norm_q) / norm_x;
         let mut scratch = self.scratch.borrow_mut();
         let (qp, rp) = &mut *scratch;
         for i in 0..x.len() {
