@@ -842,6 +842,26 @@ mod tests {
     }
 
     #[test]
+    fn widest_level_decides_the_level_walk_and_survives_refactor() {
+        use crate::par::{ParCtx, PAR_MIN_N};
+        let n = PAR_MIN_N + 10;
+        let team = ParCtx::new(2);
+        // Diagonal: a single level of n rows, wide enough to fork on.
+        let mut d = IluFactors::factor(&CsrMatrix::identity(n), &IluOptions::default()).unwrap();
+        assert_eq!((d.l_levels.widest, d.u_levels.widest), (n, n));
+        let mut a2 = CsrMatrix::identity(n);
+        a2.scale(2.0);
+        d.refactor(&a2).unwrap();
+        assert_eq!((d.l_levels.widest, d.u_levels.widest), (n, n));
+        assert!(d.l_levels.forks_on(&team));
+        assert!(!d.l_levels.forks_on(&ParCtx::seq()));
+        // Tridiagonal: chains of one row, so a team sweeps in natural order.
+        let t = IluFactors::factor(&tridiag(n), &IluOptions::default()).unwrap();
+        assert_eq!((t.l_levels.widest, t.u_levels.widest), (1, 1));
+        assert!(!t.l_levels.forks_on(&team) && !t.u_levels.forks_on(&team));
+    }
+
+    #[test]
     fn level_schedule_orders_dependencies() {
         let n = 120;
         let a = dd_matrix(n, 41);

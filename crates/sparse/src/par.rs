@@ -32,7 +32,7 @@ use std::time::Instant;
 /// for it from here; the BLAS-1 helpers pass their own, larger minimum.
 /// The chunking is identical either way, so the numerics do not change —
 /// only where the chunks execute.
-const PAR_MIN_N: usize = 4096;
+pub(crate) const PAR_MIN_N: usize = 4096;
 
 /// A shared-memory parallel context: a thread count plus the contiguous
 /// block partitioning derived from it.
@@ -574,6 +574,37 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The fork decision follows the minimum the caller passes: chunks run
+    /// on worker threads from `min_n` items up and on the calling thread
+    /// below it, with the same boundaries and the same values either way.
+    #[test]
+    fn fork_minimum_decides_where_chunks_run() {
+        let ctx = ParCtx::new(2);
+        let me = std::thread::current().id();
+        let min_n = 2 * PAR_MIN_N;
+        let x: Vec<f64> = (0..min_n).map(|i| (i as f64 * 0.37).sin()).collect();
+        for (n, forks) in [(min_n - 1, false), (min_n, true)] {
+            let ran = ctx.map_chunks_with_min("test_min", n, min_n, |_, r| {
+                (std::thread::current().id(), x[r].iter().sum::<f64>())
+            });
+            assert!(ran.iter().all(|&(id, _)| (id != me) == forks), "n={n}");
+            let sums: Vec<f64> = ran.iter().map(|&(_, v)| v).collect();
+            let inline: Vec<f64> = (0..2).map(|t| x[ctx.chunk(n, t)].iter().sum()).collect();
+            assert_eq!(sums, inline, "n={n}");
+
+            let mut owner = vec![me; n];
+            ctx.parallel_for_slices_with_min("test_min", &mut owner, 1, min_n, |_, _, sub| {
+                sub.fill(std::thread::current().id());
+            });
+            assert!(owner.iter().all(|&id| (id != me) == forks), "n={n}");
+        }
+        // `forks` answers for the default minimum, which the public
+        // helpers use.
+        assert!(ctx.forks(PAR_MIN_N));
+        assert!(!ctx.forks(PAR_MIN_N - 1));
+        assert!(!ParCtx::seq().forks(usize::MAX));
     }
 
     /// Every profiled invariant in one sweep: for each helper shape, at team

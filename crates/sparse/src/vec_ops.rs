@@ -214,6 +214,33 @@ mod tests {
         axpy(1.0, &x, &mut y);
     }
 
+    /// On either side of the break-even, the `_par` helpers compute exactly
+    /// what their per-thread chunks give inline: elementwise results equal
+    /// the sequential kernel, and reductions the ordered sum of the
+    /// per-chunk partials.
+    #[test]
+    fn par_helpers_match_inline_chunks_across_the_break_even() {
+        for n in [BLAS1_PAR_MIN_N - 1, BLAS1_PAR_MIN_N] {
+            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.01).sin()).collect();
+            let y: Vec<f64> = (0..n).map(|i| 1.0 - (i % 17) as f64 * 0.25).collect();
+            for nthreads in [2, 3] {
+                let ctx = ParCtx::new(nthreads);
+                let chunked: f64 = (0..nthreads)
+                    .map(|t| {
+                        let r = ctx.chunk(n, t);
+                        dot(&x[r.clone()], &y[r])
+                    })
+                    .sum();
+                assert_eq!(dot_par(&x, &y, &ctx), chunked, "n={n} nthreads={nthreads}");
+                let mut ys = y.clone();
+                let mut yp = y.clone();
+                axpby(0.5, &x, -2.0, &mut ys);
+                axpby_par(0.5, &x, -2.0, &mut yp, &ctx);
+                assert_eq!(ys, yp, "n={n} nthreads={nthreads}");
+            }
+        }
+    }
+
     #[test]
     fn norm2_of_empty_is_zero() {
         assert_eq!(norm2(&[]), 0.0);

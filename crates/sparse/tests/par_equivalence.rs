@@ -2,8 +2,10 @@
 //!
 //! Property tests over random shapes — including empty rows, `nthreads >
 //! nrows`, and one thread — plus deterministic large cases that cross the
-//! spawn threshold so the actually-threaded code paths run under the test
-//! harness (and under `cargo miri`/TSan if ever enabled).
+//! spawn thresholds so the actually-threaded code paths run under the test
+//! harness (and under `cargo miri`/TSan if ever enabled).  SpMV and
+//! triangular-sweep levels fork from 4,096 rows; the BLAS-1 helpers only
+//! from their 2^19-element break-even.
 
 use fun3d_sparse::bcsr::BcsrMatrix;
 use fun3d_sparse::block_ilu::BlockIluFactors;
@@ -149,10 +151,15 @@ proptest! {
     }
 }
 
+/// Fewest elements at which the BLAS-1 `_par` helpers fork.
+const BLAS1_BREAK_EVEN: usize = 1 << 19;
+
 #[test]
 fn large_kernels_cross_the_spawn_threshold() {
-    // Big enough that the helpers actually fork worker threads; everything
-    // above ran on the inline fallback with identical chunking.
+    // Big enough that the SpMV helpers actually fork worker threads;
+    // everything above ran on the inline fallback with identical chunking.
+    // The BLAS-1 calls here stay inline below their break-even;
+    // `blas1_kernels_cross_their_break_even` runs their threaded branch.
     let n = 9000usize;
     let mut t = TripletMatrix::new(n, n);
     for i in 0..n {
@@ -193,12 +200,84 @@ fn large_kernels_cross_the_spawn_threshold() {
 }
 
 #[test]
+fn blas1_kernels_cross_their_break_even() {
+    // Above the break-even the helpers fork; each must still compute
+    // exactly what its per-thread chunks give inline: the sequential
+    // kernel for elementwise updates, the ordered sum of the per-chunk
+    // partials for reductions.
+    let n = BLAS1_BREAK_EVEN + 4099;
+    let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.01).sin()).collect();
+    let y: Vec<f64> = (0..n).map(|i| 1.0 - (i % 17) as f64 * 0.25).collect();
+    for nthreads in [2usize, 3] {
+        let ctx = ParCtx::new(nthreads);
+        let chunked_dot = |u: &[f64], v: &[f64]| -> f64 {
+            (0..nthreads)
+                .map(|t| {
+                    let r = ctx.chunk(n, t);
+                    vec_ops::dot(&u[r.clone()], &v[r])
+                })
+                .sum()
+        };
+        assert_eq!(vec_ops::dot_par(&x, &y, &ctx), chunked_dot(&x, &y), "dot");
+        assert_eq!(
+            vec_ops::norm2_par(&x, &ctx),
+            chunked_dot(&x, &x).sqrt(),
+            "norm2"
+        );
+
+        let mut ys = y.clone();
+        let mut yp = y.clone();
+        vec_ops::axpy(0.3, &x, &mut ys);
+        vec_ops::axpy_par(0.3, &x, &mut yp, &ctx);
+        assert_eq!(ys, yp, "axpy nthreads={nthreads}");
+
+        let mut ws = vec![0.0; n];
+        let mut wp = vec![f64::NAN; n];
+        vec_ops::waxpby(2.0, &x, -0.5, &y, &mut ws);
+        vec_ops::waxpby_par(2.0, &x, -0.5, &y, &mut wp, &ctx);
+        assert_eq!(ws, wp, "waxpby nthreads={nthreads}");
+    }
+}
+
+/// Rows in the wide level of the hub matrices below: more than the 4,096
+/// from which a level sweep forks.
+const WIDE_LEVEL: usize = 4200;
+
+#[test]
+fn ilu_solve_par_with_wide_levels() {
+    // Every row but the hub depends on row 0 (forward) or is read by it
+    // (backward), so each sweep has one level of WIDE_LEVEL - 1 rows and
+    // the level-scheduled sweep forks on it.
+    let n = WIDE_LEVEL;
+    let mut t = TripletMatrix::new(n, n);
+    for i in 0..n {
+        t.push(i, i, 5.0 + (i % 7) as f64 * 0.1);
+        if i > 0 {
+            t.push(i, 0, 0.1 + (i % 5) as f64 * 0.01);
+            t.push(0, i, -0.2 / n as f64);
+        }
+    }
+    let a = t.to_csr();
+    let f = IluFactors::factor(&a, &IluOptions::with_fill(0)).unwrap();
+    assert_eq!(f.level_counts(), (2, 2));
+    // rhs[0] != 0, so the hub's value reaches every row of the wide level.
+    let rhs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.23).cos()).collect();
+    let mut xs = vec![0.0; n];
+    f.solve(&rhs, &mut xs);
+    for nthreads in [2usize, 5, 100] {
+        let mut xp = vec![0.0; n];
+        f.solve_par(&rhs, &mut xp, &ParCtx::new(nthreads));
+        assert_eq!(xs, xp, "nthreads={nthreads}");
+    }
+}
+
+#[test]
 fn block_ilu_solve_par_with_wide_levels() {
     // A block matrix whose rows mostly depend on one hub row: nearly all
     // block rows land in one wide level, so the level sweep actually
     // partitions work across threads.
     let b = 3usize;
-    let nb = 50usize;
+    let nb = WIDE_LEVEL;
     let mut t = TripletMatrix::new(nb * b, nb * b);
     let diag: Vec<f64> = (0..b * b)
         .map(|q| if q % (b + 1) == 0 { 5.0 } else { 0.2 })
@@ -221,6 +300,43 @@ fn block_ilu_solve_par_with_wide_levels() {
         let mut xp = vec![0.0; nb * b];
         f.solve_par(&rhs, &mut xp, &ParCtx::new(nthreads));
         assert_eq!(xs, xp, "nthreads={nthreads}");
+    }
+}
+
+#[test]
+fn narrow_level_solve_par_is_bitwise_solve() {
+    // Tridiagonal factors have one row per level, so no level forks and a
+    // team sweeps in natural order, at a size where SpMV would fork.
+    let n = 4800usize;
+    let b = 5usize;
+    let mut t = TripletMatrix::new(n, n);
+    for i in 0..n {
+        t.push(i, i, 4.0 + (i % 3) as f64 * 0.5);
+        if i > 0 {
+            t.push(i, i - 1, -1.0);
+        }
+        if i + 1 < n {
+            t.push(i, i + 1, -1.0 + (i % 11) as f64 * 0.01);
+        }
+    }
+    let a = t.to_csr();
+    let rhs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.41).cos()).collect();
+    let point = IluFactors::factor(&a, &IluOptions::with_fill(0)).unwrap();
+    assert_eq!(point.level_counts(), (n, n));
+    let block = BlockIluFactors::factor(&BcsrMatrix::from_csr(&a, b)).unwrap();
+    assert_eq!(block.level_counts(), (n / b, n / b));
+    let mut xs = vec![0.0; n];
+    let mut bs = vec![0.0; n];
+    point.solve(&rhs, &mut xs);
+    block.solve(&rhs, &mut bs);
+    for nthreads in [2usize, 3] {
+        let ctx = ParCtx::new(nthreads);
+        let mut xp = vec![f64::NAN; n];
+        point.solve_par(&rhs, &mut xp, &ctx);
+        assert_eq!(xs, xp, "point nthreads={nthreads}");
+        let mut bp = vec![f64::NAN; n];
+        block.solve_par(&rhs, &mut bp, &ctx);
+        assert_eq!(bs, bp, "block nthreads={nthreads}");
     }
 }
 
