@@ -25,6 +25,9 @@ if [ -n "${CI_LINT_ONLY:-}" ]; then
 fi
 
 cargo build --release --workspace
+# Build every bench target too (the Criterion-style micro-benches are
+# compiled by nothing else), so they cannot rot between measurements.
+cargo bench --workspace --no-run
 # --no-fail-fast: one failing crate must not hide the results of the rest.
 cargo test -q --workspace --no-fail-fast
 # The benchmark's self-tests: every workload on tiny meshes on both listed
