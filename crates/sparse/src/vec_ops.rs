@@ -19,8 +19,8 @@ use crate::par::ParCtx;
 /// does one or two flops per 16–24 bytes moved, so a fork has to split a
 /// long vector to pay for itself.  On a 2-vCPU host the 2-thread time per
 /// op over the 1-thread time was 20× at 4,800 elements, 1.17× at 262,144
-/// and 0.97× at 524,288 (the `par_sweep` groups of `cargo bench -p
-/// fun3d-bench --bench vecops` re-measure it).
+/// and 0.97× at 524,288 (the `vecops-par` group of `cargo bench -p
+/// fun3d-bench --bench vecops` re-measures it).
 const BLAS1_PAR_MIN_N: usize = 1 << 19;
 
 /// `y <- alpha * x + y`.
