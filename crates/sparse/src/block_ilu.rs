@@ -383,9 +383,15 @@ impl BlockIluFactors {
     /// count.  When no level has enough block rows for `ctx` to fork on,
     /// the natural-order sequential sweep runs instead.
     pub fn solve_in_place_par(&self, x: &mut [f64], ctx: &ParCtx) {
-        if !(self.l_levels.forks_on(ctx) || self.u_levels.forks_on(ctx)) {
+        if !(ctx.forks(self.l_levels.widest) || ctx.forks(self.u_levels.widest)) {
             return self.solve_in_place(x);
         }
+        self.solve_in_place_levels(x, ctx);
+    }
+
+    /// The level walk of [`Self::solve_in_place_par`], whether or not any
+    /// level forks.
+    pub(crate) fn solve_in_place_levels(&self, x: &mut [f64], ctx: &ParCtx) {
         if self.kernel == BlockKernel::Generic {
             return self.solve_in_place_par_generic(x, ctx);
         }
@@ -689,9 +695,15 @@ mod tests {
             // Block-tridiagonal: the forward levels form a chain.
             assert_eq!(f.level_counts(), (25, 25));
             for nthreads in [1usize, 2, 4, 64] {
+                let ctx = ParCtx::new(nthreads);
                 let mut xp = vec![0.0; n];
-                f.solve_par(&rhs, &mut xp, &ParCtx::new(nthreads));
+                f.solve_par(&rhs, &mut xp, &ctx);
                 assert_eq!(xs, xp, "b={b} nthreads={nthreads}");
+                // The level walk itself, which `solve_par` skips on levels
+                // this narrow.
+                xp.copy_from_slice(&rhs);
+                f.solve_in_place_levels(&mut xp, &ctx);
+                assert_eq!(xs, xp, "levels b={b} nthreads={nthreads}");
             }
         }
     }
@@ -715,9 +727,62 @@ mod tests {
                 f.solve(&rhs, &mut x);
                 assert_eq!(x0, x, "b={b} kernel={kernel}");
                 for nthreads in [2usize, 4] {
+                    let ctx = ParCtx::new(nthreads);
                     let mut xp = vec![0.0; n];
-                    f.solve_par(&rhs, &mut xp, &ParCtx::new(nthreads));
+                    f.solve_par(&rhs, &mut xp, &ctx);
                     assert_eq!(x0, xp, "b={b} kernel={kernel} nthreads={nthreads}");
+                    xp.copy_from_slice(&rhs);
+                    f.solve_in_place_levels(&mut xp, &ctx);
+                    assert_eq!(x0, xp, "levels b={b} kernel={kernel} nthreads={nthreads}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
+
+        /// Every kernel tier's level walk equals the generic natural-order
+        /// sweep bit for bit on random block patterns, for `b` = 1..=6
+        /// (unrolled and fallback paths) at every team size.
+        #[test]
+        fn level_walk_tiers_are_bitwise_sequential(
+            nb in 1usize..14,
+            b in 1usize..7,
+            entries in proptest::collection::vec((0usize..14, 0usize..14, -1.0f64..1.0), 0..50),
+        ) {
+            use crate::blockspec::BlockKernel;
+            use crate::par::ParCtx;
+            let mut t = TripletMatrix::new(nb * b, nb * b);
+            let mut ndiag = vec![0usize; nb];
+            for &(bi, bj, v) in &entries {
+                if bi < nb && bj < nb && bi != bj {
+                    let blk: Vec<f64> = (0..b * b).map(|q| v * 0.1 + q as f64 * 0.001).collect();
+                    t.push_block(bi, bj, b, &blk);
+                    ndiag[bi] += 1;
+                }
+            }
+            for (bi, &count) in ndiag.iter().enumerate() {
+                let mut blk: Vec<f64> =
+                    (0..b * b).map(|q| (q as f64 * 0.013).sin() * 0.2).collect();
+                for d in 0..b {
+                    blk[d * b + d] += 2.0 + count as f64;
+                }
+                t.push_block(bi, bi, b, &blk);
+            }
+            let ab = BcsrMatrix::from_csr(&t.to_csr(), b);
+            let n = nb * b;
+            let rhs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.71).cos()).collect();
+            let f0 = BlockIluFactors::factor_with_kernel(&ab, BlockKernel::Generic).unwrap();
+            let mut x0 = vec![0.0; n];
+            f0.solve(&rhs, &mut x0);
+            for kernel in [BlockKernel::Generic, BlockKernel::Fixed, BlockKernel::Batched] {
+                let f = BlockIluFactors::factor_with_kernel(&ab, kernel).unwrap();
+                for nthreads in [1usize, 2, 3, 7] {
+                    let mut xp = rhs.clone();
+                    f.solve_in_place_levels(&mut xp, &ParCtx::new(nthreads));
+                    let at = format!("kernel={kernel} b={b} nthreads={nthreads}");
+                    proptest::prop_assert_eq!(&x0, &xp, "{}", at);
                 }
             }
         }

@@ -94,7 +94,8 @@ pub(crate) struct LevelSchedule {
     /// Row indices grouped by level.  Rows within one level have no
     /// dependencies on each other and may be processed concurrently.
     pub rows: Vec<u32>,
-    /// Rows in the widest level.
+    /// Rows in the widest level.  When a team would not fork on it, the
+    /// level walk only adds indirection to the natural-order sweep.
     pub widest: usize,
 }
 
@@ -105,13 +106,6 @@ impl LevelSchedule {
 
     pub fn level(&self, l: usize) -> &[u32] {
         &self.rows[self.ptr[l]..self.ptr[l + 1]]
-    }
-
-    /// Whether a level-scheduled sweep on `ctx` forks on any level.  When
-    /// it does not, walking the levels only adds indirection and a pass
-    /// over the team's chunks per level to the natural-order sweep.
-    pub fn forks_on(&self, ctx: &ParCtx) -> bool {
-        ctx.forks(self.widest)
     }
 }
 
@@ -421,9 +415,15 @@ impl IluFactors {
     /// identical for any thread count.  When no level is wide enough for
     /// `ctx` to fork on, the natural-order sequential sweep runs instead.
     pub fn solve_in_place_par(&self, x: &mut [f64], ctx: &ParCtx) {
-        if !(self.l_levels.forks_on(ctx) || self.u_levels.forks_on(ctx)) {
+        if !(ctx.forks(self.l_levels.widest) || ctx.forks(self.u_levels.widest)) {
             return self.solve_in_place(x);
         }
+        self.solve_in_place_levels(x, ctx);
+    }
+
+    /// The level walk of [`Self::solve_in_place_par`], whether or not any
+    /// level forks.
+    pub(crate) fn solve_in_place_levels(&self, x: &mut [f64], ctx: &ParCtx) {
         match &self.vals {
             FactorValues::F64 { l, u, inv_diag } => self.tri_solve_par(l, u, inv_diag, x, ctx),
             FactorValues::F32 { l, u, inv_diag } => self.tri_solve_par(l, u, inv_diag, x, ctx),
@@ -843,9 +843,16 @@ mod tests {
 
     #[test]
     fn widest_level_decides_the_level_walk_and_survives_refactor() {
-        use crate::par::{ParCtx, PAR_MIN_N};
+        use crate::par::{forked_regions, ParCtx, PAR_MIN_N};
         let n = PAR_MIN_N + 10;
         let team = ParCtx::new(2);
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
+        let mut x = vec![0.0; n];
+        let forks = |f: &IluFactors, x: &mut [f64], ctx: &ParCtx| {
+            let before = forked_regions();
+            f.solve_par(&b, x, ctx);
+            forked_regions() - before
+        };
         // Diagonal: a single level of n rows, wide enough to fork on.
         let mut d = IluFactors::factor(&CsrMatrix::identity(n), &IluOptions::default()).unwrap();
         assert_eq!((d.l_levels.widest, d.u_levels.widest), (n, n));
@@ -853,12 +860,13 @@ mod tests {
         a2.scale(2.0);
         d.refactor(&a2).unwrap();
         assert_eq!((d.l_levels.widest, d.u_levels.widest), (n, n));
-        assert!(d.l_levels.forks_on(&team));
-        assert!(!d.l_levels.forks_on(&ParCtx::seq()));
+        assert_eq!(forks(&d, &mut x, &team), 2, "one level per sweep");
+        assert_eq!(forks(&d, &mut x, &ParCtx::seq()), 0);
         // Tridiagonal: chains of one row, so a team sweeps in natural order.
         let t = IluFactors::factor(&tridiag(n), &IluOptions::default()).unwrap();
         assert_eq!((t.l_levels.widest, t.u_levels.widest), (1, 1));
-        assert!(!t.l_levels.forks_on(&team) && !t.u_levels.forks_on(&team));
+        assert!(!team.forks(t.l_levels.widest) && !team.forks(t.u_levels.widest));
+        assert_eq!(forks(&t, &mut x, &team), 0);
     }
 
     #[test]
@@ -899,10 +907,55 @@ mod tests {
                 let mut xs = vec![0.0; n];
                 f.solve(&b, &mut xs);
                 for nthreads in [1usize, 2, 3, 8, 301] {
+                    let ctx = ParCtx::new(nthreads);
                     let mut xp = vec![0.0; n];
-                    f.solve_par(&b, &mut xp, &ParCtx::new(nthreads));
+                    f.solve_par(&b, &mut xp, &ctx);
                     assert_eq!(xs, xp, "n={n} fill={fill} nthreads={nthreads}");
+                    // The level walk itself, which `solve_par` skips on
+                    // levels this narrow.
+                    xp.copy_from_slice(&b);
+                    f.solve_in_place_levels(&mut xp, &ctx);
+                    assert_eq!(xs, xp, "levels n={n} fill={fill} nthreads={nthreads}");
                 }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
+
+        /// The level walk equals the natural-order sweep bit for bit on
+        /// random ILU(0)/ILU(1) patterns (empty rows, wide and chained
+        /// levels) in both storages, at every team size.
+        #[test]
+        fn level_walk_is_bitwise_sequential(
+            n in 1usize..60,
+            fill in 0usize..2,
+            storage in 0usize..2,
+            entries in proptest::collection::vec((0usize..60, 0usize..60, -1.0f64..1.0), 0..150),
+        ) {
+            use crate::par::ParCtx;
+            let mut t = TripletMatrix::new(n, n);
+            let mut rowsum = vec![0.0f64; n];
+            for &(i, j, v) in &entries {
+                if i < n && j < n && i != j {
+                    t.push(i, j, v);
+                    rowsum[i] += v.abs();
+                }
+            }
+            for (i, s) in rowsum.iter().enumerate() {
+                t.push(i, i, s + 1.0);
+            }
+            let storage = [PrecStorage::Double, PrecStorage::Single][storage];
+            let opts = IluOptions { fill_level: fill, storage };
+            let f = IluFactors::factor(&t.to_csr(), &opts).unwrap();
+            let rhs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.9).cos()).collect();
+            let mut xs = vec![0.0; n];
+            f.solve(&rhs, &mut xs);
+            for nthreads in [1usize, 2, 3, 7] {
+                let mut xp = rhs.clone();
+                f.solve_in_place_levels(&mut xp, &ParCtx::new(nthreads));
+                proptest::prop_assert_eq!(&xs, &xp, "fill={} nthreads={}", fill, nthreads);
             }
         }
     }

@@ -27,12 +27,26 @@ use std::time::Instant;
 
 /// Below this many work items the helpers run their chunks on the calling
 /// thread instead of spawning: one 2-thread `thread::scope` region costs
-/// 55–90 µs on a 2-vCPU host, which dwarfs a small kernel.  SpMV rows,
-/// flux edges and triangular-solve rows carry enough work per item to pay
-/// for it from here; the BLAS-1 helpers pass their own, larger minimum.
-/// The chunking is identical either way, so the numerics do not change —
-/// only where the chunks execute.
+/// 55–90 µs on a 2-vCPU host, which dwarfs a small kernel.  The value dates
+/// from an estimate of ~10 µs per spawn; whether a fork pays from here for
+/// SpMV rows, flux edges or triangular-solve level rows is unmeasured.
+/// The BLAS-1 helpers pass their own, measured minimum.  The chunking is
+/// identical either way, so the numerics do not change — only where the
+/// chunks execute.
 pub(crate) const PAR_MIN_N: usize = 4096;
+
+#[cfg(test)]
+thread_local! {
+    /// Regions forked from this thread; see [`forked_regions`].
+    static FORKED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// How many regions the calling thread has forked so far, so unit tests
+/// can tell whether a helper ran its chunks on workers or inline.
+#[cfg(test)]
+pub(crate) fn forked_regions() -> usize {
+    FORKED.with(|f| f.get())
+}
 
 /// A shared-memory parallel context: a thread count plus the contiguous
 /// block partitioning derived from it.
@@ -100,13 +114,18 @@ impl ParCtx {
         start..start + len
     }
 
+    /// Whether a region over `n` items, forking from `min_n` up, spawns.
+    /// Each helper asks once per region, on the calling thread.
     fn should_spawn(&self, n: usize, min_n: usize) -> bool {
-        self.nthreads > 1 && n >= min_n
+        let spawn = self.nthreads > 1 && n >= min_n;
+        #[cfg(test)]
+        FORKED.with(|f| f.set(f.get() + usize::from(spawn)));
+        spawn
     }
 
     /// Whether [`Self::parallel_for`] over `n` items forks worker threads.
     pub(crate) fn forks(&self, n: usize) -> bool {
-        self.should_spawn(n, PAR_MIN_N)
+        self.nthreads > 1 && n >= PAR_MIN_N
     }
 
     /// Run `body(t, range)` over each thread's chunk of `0..n`.  Empty
@@ -117,7 +136,7 @@ impl ParCtx {
     where
         F: Fn(usize, Range<usize>) + Sync,
     {
-        let spawn = self.forks(n);
+        let spawn = self.should_spawn(n, PAR_MIN_N);
         if profile::is_enabled() {
             return self.parallel_for_profiled(label, n, spawn, body);
         }
