@@ -32,7 +32,15 @@ fn bench_vecops(c: &mut Criterion) {
 fn bench_par_sweep(c: &mut Criterion) {
     let (t1, t2) = (ParCtx::new(1), ParCtx::new(2));
     let mut group = c.benchmark_group("vecops-par");
-    for n in [4_800usize, 65_536, 262_144, 524_288, 1 << 20, 4 << 20] {
+    for n in [
+        4_800usize,
+        65_536,
+        262_144,
+        524_288,
+        1 << 20,
+        2 << 20,
+        4 << 20,
+    ] {
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 1e-4).sin()).collect();
         let mut y: Vec<f64> = (0..n).map(|i| (i as f64 * 1e-4).cos()).collect();
         group.throughput(Throughput::Bytes((16 * n) as u64));

@@ -10,18 +10,23 @@
 //! kernels; the reductions (`dot_par`/`norm2_par`) combine per-thread
 //! partial sums in thread order, so they are deterministic for a fixed
 //! thread count and agree with the sequential result to rounding.  Below a
-//! break-even length of 2^19 elements the chunks run inline on the calling
+//! break-even length of 2^21 elements the chunks run inline on the calling
 //! thread, with the same boundaries and therefore the same results.
 
 use crate::par::ParCtx;
 
 /// Fewest elements at which the BLAS-1 `_par` helpers fork.  A BLAS-1 op
 /// does one or two flops per 16–24 bytes moved, so a fork has to split a
-/// long vector to pay for itself.  On a 2-vCPU host the 2-thread time per
-/// op over the 1-thread time was 20× at 4,800 elements, 1.17× at 262,144
-/// and 0.97× at 524,288 (the `vecops-par` group of `cargo bench -p
-/// fun3d-bench --bench vecops` re-measures it).
-const BLAS1_PAR_MIN_N: usize = 1 << 19;
+/// long vector to pay for itself.  The `vecops-par` group of `cargo bench
+/// -p fun3d-bench --bench vecops`, run 20–25 times on a shared 2-vCPU
+/// host, gave these medians of the 2-thread forked time per op over the
+/// 1-thread time (dot / axpy), with the share of runs where the fork won:
+/// 1.21× / 1.47× at 262,144 elements (4 / 0 of 25); 0.84× / 0.92× at
+/// 524,288 (17 / 14 of 25); 0.69× / 0.75× at 1 Mi (18 / 22 of 25);
+/// 0.60× / 0.72× at 2 Mi (18 / 19 of 20); 0.33× / 0.51× at 4 Mi (24 / 25
+/// of 25).  2 Mi is the smallest size where the fork won at least 9 runs
+/// in 10 for both ops.
+const BLAS1_PAR_MIN_N: usize = 1 << 21;
 
 /// `y <- alpha * x + y`.
 ///
@@ -214,29 +219,60 @@ mod tests {
         axpy(1.0, &x, &mut y);
     }
 
-    /// On either side of the break-even, the `_par` helpers compute exactly
-    /// what their per-thread chunks give inline: elementwise results equal
-    /// the sequential kernel, and reductions the ordered sum of the
-    /// per-chunk partials.
+    /// `op`'s result and the number of regions it forked.
+    fn forking<R>(op: impl FnOnce() -> R) -> (R, usize) {
+        let before = crate::par::forked_regions();
+        let r = op();
+        (r, crate::par::forked_regions() - before)
+    }
+
+    /// The `_par` helpers fork from the break-even up and run inline below
+    /// it.  On either side they compute exactly what their per-thread
+    /// chunks give inline: elementwise results equal the sequential kernel,
+    /// and reductions the ordered sum of the per-chunk partials.
     #[test]
     fn par_helpers_match_inline_chunks_across_the_break_even() {
         for n in [BLAS1_PAR_MIN_N - 1, BLAS1_PAR_MIN_N] {
+            let forks = usize::from(n >= BLAS1_PAR_MIN_N);
             let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.01).sin()).collect();
             let y: Vec<f64> = (0..n).map(|i| 1.0 - (i % 17) as f64 * 0.25).collect();
+            let (mut ys, mut yp) = (vec![0.0; n], vec![0.0; n]);
             for nthreads in [2, 3] {
                 let ctx = ParCtx::new(nthreads);
-                let chunked: f64 = (0..nthreads)
-                    .map(|t| {
-                        let r = ctx.chunk(n, t);
-                        dot(&x[r.clone()], &y[r])
-                    })
-                    .sum();
-                assert_eq!(dot_par(&x, &y, &ctx), chunked, "n={n} nthreads={nthreads}");
-                let mut ys = y.clone();
-                let mut yp = y.clone();
+                let at = format!("n={n} nthreads={nthreads}");
+                let chunked_dot = |u: &[f64], v: &[f64]| -> f64 {
+                    (0..nthreads)
+                        .map(|t| {
+                            let r = ctx.chunk(n, t);
+                            dot(&u[r.clone()], &v[r])
+                        })
+                        .sum()
+                };
+                let d = (chunked_dot(&x, &y), forks);
+                assert_eq!(forking(|| dot_par(&x, &y, &ctx)), d, "dot {at}");
+                let nrm = (chunked_dot(&x, &x).sqrt(), forks);
+                assert_eq!(forking(|| norm2_par(&x, &ctx)), nrm, "norm2 {at}");
+
+                ys.copy_from_slice(&y);
+                yp.copy_from_slice(&y);
+                axpy(0.3, &x, &mut ys);
+                let (_, ran) = forking(|| axpy_par(0.3, &x, &mut yp, &ctx));
+                assert_eq!(ran, forks, "axpy {at}");
+                assert_eq!(ys, yp, "axpy {at}");
+
+                ys.copy_from_slice(&y);
+                yp.copy_from_slice(&y);
                 axpby(0.5, &x, -2.0, &mut ys);
-                axpby_par(0.5, &x, -2.0, &mut yp, &ctx);
-                assert_eq!(ys, yp, "n={n} nthreads={nthreads}");
+                let (_, ran) = forking(|| axpby_par(0.5, &x, -2.0, &mut yp, &ctx));
+                assert_eq!(ran, forks, "axpby {at}");
+                assert_eq!(ys, yp, "axpby {at}");
+
+                // NaN shows any entry a chunk left unwritten.
+                yp.fill(f64::NAN);
+                waxpby(2.0, &x, -0.5, &y, &mut ys);
+                let (_, ran) = forking(|| waxpby_par(2.0, &x, -0.5, &y, &mut yp, &ctx));
+                assert_eq!(ran, forks, "waxpby {at}");
+                assert_eq!(ys, yp, "waxpby {at}");
             }
         }
     }

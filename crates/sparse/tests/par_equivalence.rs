@@ -5,7 +5,7 @@
 //! spawn thresholds so the actually-threaded code paths run under the test
 //! harness (and under `cargo miri`/TSan if ever enabled).  SpMV and
 //! triangular-sweep levels fork from 4,096 rows; the BLAS-1 helpers only
-//! from their 2^19-element break-even.
+//! from a far larger break-even, which the `vec_ops` unit tests cross.
 
 use fun3d_sparse::bcsr::BcsrMatrix;
 use fun3d_sparse::block_ilu::BlockIluFactors;
@@ -151,15 +151,12 @@ proptest! {
     }
 }
 
-/// Fewest elements at which the BLAS-1 `_par` helpers fork.
-const BLAS1_BREAK_EVEN: usize = 1 << 19;
-
 #[test]
 fn large_kernels_cross_the_spawn_threshold() {
     // Big enough that the SpMV helpers actually fork worker threads;
     // everything above ran on the inline fallback with identical chunking.
-    // The BLAS-1 calls here stay inline below their break-even;
-    // `blas1_kernels_cross_their_break_even` runs their threaded branch.
+    // The BLAS-1 calls here stay inline below their break-even; the
+    // `vec_ops` unit tests run their threaded branch.
     let n = 9000usize;
     let mut t = TripletMatrix::new(n, n);
     for i in 0..n {
@@ -197,46 +194,6 @@ fn large_kernels_cross_the_spawn_threshold() {
     vec_ops::axpy(0.3, &ys, &mut w);
     vec_ops::axpy_par(0.3, &ys, &mut wp, &ctx);
     assert_eq!(w, wp, "threaded axpy");
-}
-
-#[test]
-fn blas1_kernels_cross_their_break_even() {
-    // Above the break-even the helpers fork; each must still compute
-    // exactly what its per-thread chunks give inline: the sequential
-    // kernel for elementwise updates, the ordered sum of the per-chunk
-    // partials for reductions.
-    let n = BLAS1_BREAK_EVEN + 4099;
-    let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.01).sin()).collect();
-    let y: Vec<f64> = (0..n).map(|i| 1.0 - (i % 17) as f64 * 0.25).collect();
-    for nthreads in [2usize, 3] {
-        let ctx = ParCtx::new(nthreads);
-        let chunked_dot = |u: &[f64], v: &[f64]| -> f64 {
-            (0..nthreads)
-                .map(|t| {
-                    let r = ctx.chunk(n, t);
-                    vec_ops::dot(&u[r.clone()], &v[r])
-                })
-                .sum()
-        };
-        assert_eq!(vec_ops::dot_par(&x, &y, &ctx), chunked_dot(&x, &y), "dot");
-        assert_eq!(
-            vec_ops::norm2_par(&x, &ctx),
-            chunked_dot(&x, &x).sqrt(),
-            "norm2"
-        );
-
-        let mut ys = y.clone();
-        let mut yp = y.clone();
-        vec_ops::axpy(0.3, &x, &mut ys);
-        vec_ops::axpy_par(0.3, &x, &mut yp, &ctx);
-        assert_eq!(ys, yp, "axpy nthreads={nthreads}");
-
-        let mut ws = vec![0.0; n];
-        let mut wp = vec![f64::NAN; n];
-        vec_ops::waxpby(2.0, &x, -0.5, &y, &mut ws);
-        vec_ops::waxpby_par(2.0, &x, -0.5, &y, &mut wp, &ctx);
-        assert_eq!(ws, wp, "waxpby nthreads={nthreads}");
-    }
 }
 
 /// Rows in the wide level of the hub matrices below: more than the 4,096
