@@ -1,10 +1,14 @@
 //! Criterion micro-bench: ILU(k) triangular solves with double vs single
-//! precision factor storage — the Table 2 effect on the host.
+//! precision factor storage — the Table 2 effect on the host — and, on the
+//! same matrices, block ILU(0) on the b = 4 BCSR form (`bilu0`), the
+//! preconditioner a blocked ILU(0) solve factors, refactors and applies.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fun3d_bench::representative_jacobian;
 use fun3d_euler::model::FlowModel;
 use fun3d_mesh::generator::BumpChannelSpec;
+use fun3d_sparse::bcsr::BcsrMatrix;
+use fun3d_sparse::block_ilu::BlockIluFactors;
 use fun3d_sparse::ilu::{IluFactors, IluOptions, PrecStorage};
 use fun3d_sparse::layout::FieldLayout;
 
@@ -36,6 +40,9 @@ fn bench_trisolve(c: &mut Criterion) {
             });
         }
     }
+    let fb = BlockIluFactors::factor(&BcsrMatrix::from_csr(&jac, 4)).expect("factorable");
+    group.throughput(Throughput::Elements((fb.nnz_blocks() * 16) as u64));
+    group.bench_function("bilu0-f64", |bch| bch.iter(|| fb.solve(&b, &mut x)));
     group.finish();
 }
 
@@ -54,6 +61,19 @@ fn bench_factor(c: &mut Criterion) {
             bch.iter(|| IluFactors::factor(&jac, &IluOptions::with_fill(fill)).unwrap())
         });
     }
+    // The per-step numeric refactors a solve runs after its first factor.
+    let mut f = IluFactors::factor(&jac, &IluOptions::with_fill(0)).unwrap();
+    group.bench_function("ilu0-refactor", |bch| {
+        bch.iter(|| f.refactor(&jac).unwrap())
+    });
+    let blocked = BcsrMatrix::from_csr(&jac, 4);
+    group.bench_function("bilu0", |bch| {
+        bch.iter(|| BlockIluFactors::factor(&blocked).unwrap())
+    });
+    let mut fb = BlockIluFactors::factor(&blocked).unwrap();
+    group.bench_function("bilu0-refactor", |bch| {
+        bch.iter(|| fb.refactor(&blocked).unwrap())
+    });
     group.finish();
 }
 

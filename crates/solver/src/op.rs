@@ -220,6 +220,144 @@ pub(crate) mod test_problems {
         }
     }
 
+    /// A coupled `b`-component version of [`Bratu1d`] on an `nx x ny` grid,
+    /// unknowns interlaced (`p * b + c`):
+    /// `R_p(q) = A q_p - sum_{nbr} K q_nbr + alpha (exp(q_p) - 1) - f_p`
+    /// with dense `b x b` matrices `A` and `K`.  Its Jacobian is made of
+    /// dense blocks, like a structurally blocked flow Jacobian, and the
+    /// grid's cycles make ILU(0) on it drop fill.
+    pub struct BlockGrid2d {
+        nx: usize,
+        ny: usize,
+        b: usize,
+        alpha: f64,
+        a: Vec<f64>,
+        k: Vec<f64>,
+        f: Vec<f64>,
+    }
+
+    impl BlockGrid2d {
+        pub fn new(nx: usize, ny: usize, b: usize, alpha: f64) -> Self {
+            let a = (0..b * b)
+                .map(|e| {
+                    if e % (b + 1) == 0 {
+                        4.5
+                    } else {
+                        0.3 + 0.05 * (e % 3) as f64
+                    }
+                })
+                .collect();
+            let k = (0..b * b)
+                .map(|e| {
+                    if e % (b + 1) == 0 {
+                        1.0
+                    } else {
+                        0.1 + 0.02 * (e % 4) as f64
+                    }
+                })
+                .collect();
+            let mut me = Self {
+                nx,
+                ny,
+                b,
+                alpha,
+                a,
+                k,
+                f: vec![0.0; nx * ny * b],
+            };
+            let mut r = vec![0.0; me.f.len()];
+            me.residual_raw(&me.solution(), &mut r);
+            me.f = r;
+            me
+        }
+
+        pub fn solution(&self) -> Vec<f64> {
+            let s =
+                |i: usize, m: usize| (std::f64::consts::PI * (i + 1) as f64 / (m + 1) as f64).sin();
+            (0..self.f.len())
+                .map(|u| {
+                    let (p, c) = (u / self.b, u % self.b);
+                    s(p % self.nx, self.nx) * s(p / self.nx, self.ny) * (1.0 + 0.1 * c as f64)
+                })
+                .collect()
+        }
+
+        fn neighbors(&self, p: usize) -> impl Iterator<Item = usize> {
+            let (x, y, nx, ny) = (p % self.nx, p / self.nx, self.nx, self.ny);
+            [
+                (x > 0).then(|| p - 1),
+                (x + 1 < nx).then(|| p + 1),
+                (y > 0).then(|| p - nx),
+                (y + 1 < ny).then(|| p + nx),
+            ]
+            .into_iter()
+            .flatten()
+        }
+
+        fn residual_raw(&self, q: &[f64], out: &mut [f64]) {
+            let b = self.b;
+            for p in 0..self.nx * self.ny {
+                for r in 0..b {
+                    let mut s = self.alpha * (q[p * b + r].exp() - 1.0);
+                    for c in 0..b {
+                        s += self.a[r * b + c] * q[p * b + c];
+                        for nb in self.neighbors(p) {
+                            s -= self.k[r * b + c] * q[nb * b + c];
+                        }
+                    }
+                    out[p * b + r] = s;
+                }
+            }
+        }
+    }
+
+    impl PseudoTransientProblem for BlockGrid2d {
+        fn n(&self) -> usize {
+            self.f.len()
+        }
+
+        fn residual(&self, q: &[f64], out: &mut [f64]) {
+            self.residual_raw(q, out);
+            for (o, f) in out.iter_mut().zip(&self.f) {
+                *o -= f;
+            }
+        }
+
+        fn jacobian(&self, q: &[f64]) -> CsrMatrix {
+            let (b, n) = (self.b, self.f.len());
+            let mut t = TripletMatrix::new(n, n);
+            let off: Vec<f64> = self.k.iter().map(|v| -v).collect();
+            for p in 0..self.nx * self.ny {
+                let mut diag = self.a.clone();
+                for c in 0..b {
+                    diag[c * b + c] += self.alpha * q[p * b + c].exp();
+                }
+                t.push_block(p, p, b, &diag);
+                for nb in self.neighbors(p) {
+                    t.push_block(p, nb, b, &off);
+                }
+            }
+            t.to_csr()
+        }
+
+        fn inverse_timestep_scale(&self, _q: &[f64]) -> Vec<f64> {
+            vec![1.0; self.f.len()]
+        }
+    }
+
+    #[test]
+    fn block_grid_solution_has_zero_residual() {
+        let p = BlockGrid2d::new(5, 4, 3, 0.5);
+        let q = p.solution();
+        let mut r = vec![0.0; p.n()];
+        p.residual(&q, &mut r);
+        assert!(fun3d_sparse::vec_ops::norm2(&r) < 1e-12);
+        // Every stored block is dense.
+        let jac = p.jacobian(&q);
+        let blocked = fun3d_sparse::bcsr::BcsrMatrix::from_csr(&jac, 3);
+        assert_eq!(blocked.nnz_blocks() * 9, jac.nnz());
+    }
+
     #[test]
     fn bratu_solution_has_zero_residual() {
         let p = Bratu1d::new(20, 1.0);

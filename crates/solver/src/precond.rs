@@ -93,12 +93,6 @@ pub struct BlockIluPrecond {
 }
 
 impl BlockIluPrecond {
-    /// Factor the BCSR form of `a` with block size `b`.
-    pub fn factor(a: &CsrMatrix, b: usize) -> Result<Self, IluError> {
-        let ab = BcsrMatrix::from_csr(a, b);
-        Ok(Self::new(BlockIluFactors::factor(&ab)?))
-    }
-
     /// Wrap existing factors.
     pub fn new(factors: BlockIluFactors) -> Self {
         Self {
@@ -117,6 +111,13 @@ impl BlockIluPrecond {
     /// The underlying factors.
     pub fn factors(&self) -> &BlockIluFactors {
         &self.factors
+    }
+
+    /// Refactor from a new matrix with the same block pattern, keeping the
+    /// split pattern, level schedules and batch analysis (bitwise identical
+    /// to factoring it afresh).
+    pub fn refactor(&mut self, a: &BcsrMatrix) -> Result<(), IluError> {
+        self.factors.refactor(a)
     }
 }
 

@@ -19,8 +19,9 @@ use crate::health::{Anomaly, HealthConfig, HealthMonitor};
 use crate::op::{CsrOperator, FdJacobianOperator, PseudoTransientProblem};
 use crate::precond::{AdditiveSchwarz, BlockIluPrecond, IluPrecond, Preconditioner};
 use fun3d_sparse::bcsr::BcsrMatrix;
+use fun3d_sparse::block_ilu::BlockIluFactors;
 use fun3d_sparse::csr::CsrMatrix;
-use fun3d_sparse::ilu::{IluFactors, IluOptions};
+use fun3d_sparse::ilu::{IluFactors, IluOptions, PrecStorage};
 use fun3d_sparse::vec_ops::norm2;
 use fun3d_telemetry::events::{EventRecord, EventSink};
 use fun3d_telemetry::Registry;
@@ -30,13 +31,10 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub enum PrecondSpec {
     /// Global ILU(k) (the single-subdomain limit; Table 1's solve phase).
+    /// A blocked run that asks for ILU(0) in double precision factors it on
+    /// the blocks of its BCSR matrix instead
+    /// ([`PseudoTransientOptions::block_ilu`]).
     Ilu(IluOptions),
-    /// Point-block ILU(0) on the BCSR form with the given block size — the
-    /// preconditioner the paper's code uses once structural blocking is on.
-    BlockIlu {
-        /// Block size (the number of unknowns per mesh point).
-        block: usize,
-    },
     /// Additive Schwarz over the given disjoint owned-row sets.
     Schwarz {
         /// Disjoint row sets covering all unknowns.
@@ -99,7 +97,9 @@ pub struct PseudoTransientOptions {
     /// Enable a backtracking line search on the Newton update.
     pub line_search: bool,
     /// Run the Krylov matvec through block-CSR storage with this block size
-    /// (the "structural blocking" of Table 1). Ignored under `matrix_free`.
+    /// (the "structural blocking" of Table 1), and precondition ILU(0) on
+    /// the same blocks ([`PseudoTransientOptions::block_ilu`]). Ignored
+    /// under `matrix_free`.
     pub bcsr_block: Option<usize>,
     /// Inner-tolerance strategy (constant vs Eisenstat-Walker).
     pub forcing: Forcing,
@@ -130,6 +130,30 @@ impl Default for PseudoTransientOptions {
     }
 }
 
+impl PseudoTransientOptions {
+    /// The block size `b` when this run preconditions with block ILU(0) on
+    /// its BCSR matrix, PETSc's ILU on BAIJ: the run asks for ILU(0) in
+    /// double precision, is blocked (`bcsr_block = Some(b)`) and assembles
+    /// its operator.  The factor is built from the step's BCSR matrix and
+    /// refactored in place on later rebuilds.  On a pattern of dense
+    /// `b x b` blocks this is point ILU(0) in exact arithmetic, so only
+    /// rounding differs.  `None` for every other configuration, which
+    /// keeps point ILU(k) (fill > 0, f32 storage, unblocked or matrix-free
+    /// runs) or Schwarz.
+    pub fn block_ilu(&self) -> Option<usize> {
+        match (&self.precond, self.bcsr_block) {
+            (PrecondSpec::Ilu(ilu), Some(b))
+                if ilu.fill_level == 0
+                    && ilu.storage == PrecStorage::Double
+                    && !self.matrix_free =>
+            {
+                Some(b)
+            }
+            _ => None,
+        }
+    }
+}
+
 /// Wall time per solver phase, summed over all pseudo-timesteps (seconds).
 /// Named replacement for the old bare `(f64, f64, f64, f64)` tuple.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -138,7 +162,8 @@ pub struct PhaseTimes {
     pub residual: f64,
     /// Jacobian assembly and diagonal shifting.
     pub jacobian: f64,
-    /// Preconditioner construction (ILU factorization / Schwarz setup).
+    /// Preconditioner construction (ILU factorization / Schwarz setup,
+    /// and the BCSR refill of a blocked operator).
     pub precond: f64,
     /// Krylov (GMRES) solve time.
     pub krylov: f64,
@@ -284,21 +309,26 @@ impl Preconditioner for BuiltPrecond {
 /// family (same mesh adjacency, ordering, physics, and layout — i.e. the same
 /// Jacobian *pattern*).
 ///
-/// Both templates are pattern-only accelerators.  The ILU template skips the
-/// symbolic `ILU(k)` analysis and level scheduling of a solve's *first*
-/// factorization only: every later rebuild, warm or cold, refactors the
-/// solve's own cached factors in place.  Numerics are redone with
-/// [`IluFactors::refactor`], which runs the identical elimination as a fresh
-/// factorization.  The BCSR template skips the block-structure merge
+/// All templates are pattern-only accelerators.  The ILU templates skip the
+/// symbolic analysis (the `ILU(k)` pattern, or the block split) and level
+/// scheduling of a solve's *first* factorization only: every later rebuild,
+/// warm or cold, refactors the solve's own cached factors in place.
+/// Numerics are redone with [`IluFactors::refactor`] or
+/// [`BlockIluFactors::refactor`], which run the identical elimination as a
+/// fresh factorization.  The BCSR template skips the block-structure merge
 /// (values are rewritten in full by `refill_from_csr`).  A warm solve is
 /// therefore **bitwise identical** to a cold one; templates that do not match
-/// the problem (dimension, fill level, storage, block size, nnz) are ignored
-/// rather than trusted.
+/// the problem (dimension, fill level, storage, block size, nnz, block
+/// pattern) are ignored rather than trusted.
 #[derive(Debug, Clone, Default)]
 pub struct WarmStart {
     /// Symbolic `ILU(k)` template for [`PrecondSpec::Ilu`]; cloned once and
     /// numerically refactored against the first step's shifted Jacobian.
     pub ilu: Option<Arc<IluFactors>>,
+    /// Block ILU(0) template for runs that take
+    /// [`PseudoTransientOptions::block_ilu`]; cloned once and numerically
+    /// refactored against the first step's BCSR matrix.
+    pub block_ilu: Option<Arc<BlockIluFactors>>,
     /// Block-structure template for the [`PseudoTransientOptions::bcsr_block`]
     /// operator; cloned once and refilled from the point CSR each step.
     pub bcsr: Option<Arc<BcsrMatrix>>,
@@ -312,7 +342,7 @@ impl WarmStart {
 
     /// Whether any template is present.
     pub fn is_empty(&self) -> bool {
-        self.ilu.is_none() && self.bcsr.is_none()
+        self.ilu.is_none() && self.block_ilu.is_none() && self.bcsr.is_none()
     }
 }
 
@@ -473,20 +503,36 @@ pub fn solve_pseudo_transient_warm<P: PseudoTransientProblem>(
         drop(jac_span);
         let t_jacobian = t0.elapsed().as_secs_f64();
 
-        // Preconditioner from the shifted matrix.  The Jacobian pattern is
-        // fixed for the whole solve, so after the first build ILU and
-        // Schwarz rebuilds refactor the cached factors on their symbolic
-        // pattern: the same numeric elimination as a fresh factorization,
-        // hence bitwise identical factors.
+        // Preconditioner from the shifted matrix.  A blocked operator's
+        // BCSR values are refilled first, since block ILU(0) factors them.
+        // The Jacobian pattern is fixed for the whole solve, so after the
+        // first build every rebuild refactors the cached factors on their
+        // symbolic pattern: the same numeric elimination as a fresh
+        // factorization, hence bitwise identical factors.
         let t0 = std::time::Instant::now();
         let pc_span = tel.span("precond");
+        let bcsr = match (jac.as_ref().filter(|_| !opts.matrix_free), opts.bcsr_block) {
+            (Some(jac), Some(b)) => {
+                match &mut bcsr_cache {
+                    // A seeded template whose source pattern disagrees
+                    // (wrong nnz) is discarded, not trusted.
+                    Some(cached) if cached.csr_nnz() == jac.nnz() => cached.refill_from_csr(jac),
+                    _ => bcsr_cache = Some(BcsrMatrix::from_csr(jac, b)),
+                }
+                bcsr_cache.as_ref()
+            }
+            _ => None,
+        };
         if let Some(jac) = jac.as_ref().filter(|_| rebuild_pc) {
             match pc_cache.as_mut() {
                 Some(BuiltPrecond::Ilu(p)) => p.refactor(jac).expect("ILU refactorization failed"),
+                Some(BuiltPrecond::BlockIlu(p)) => p
+                    .refactor(bcsr.expect("block ILU runs assemble a BCSR operator"))
+                    .expect("block ILU refactorization failed"),
                 Some(BuiltPrecond::Schwarz(p)) => {
                     p.refactor(jac).expect("Schwarz refactorization failed")
                 }
-                _ => pc_cache = Some(build_precond(jac, opts, warm)),
+                None => pc_cache = Some(build_precond(jac, bcsr, opts, warm)),
             }
             pc_age = 0;
         }
@@ -517,31 +563,19 @@ pub fn solve_pseudo_transient_warm<P: PseudoTransientProblem>(
         let t0 = std::time::Instant::now();
         let krylov_span = tel.span("krylov");
         let nstep = step as u64;
-        let lin = match jac.as_ref().filter(|_| !opts.matrix_free) {
-            None => {
+        let lin = match (jac.as_ref().filter(|_| !opts.matrix_free), bcsr) {
+            (None, _) => {
                 let shift: Vec<f64> = d.iter().map(|&v| v / cfl).collect();
                 let op = FdJacobianOperator::new(&*problem, q.to_vec(), r.clone(), shift);
                 gmres_with_events(&op, pc, &rhs, &mut delta, &krylov, tel, events, nstep)
             }
-            Some(jac) => {
-                if let Some(b) = opts.bcsr_block {
-                    match &mut bcsr_cache {
-                        // A seeded template whose source pattern disagrees
-                        // (wrong nnz) is discarded, not trusted.
-                        Some(cached) if cached.csr_nnz() == jac.nnz() => {
-                            cached.refill_from_csr(jac)
-                        }
-                        _ => bcsr_cache = Some(BcsrMatrix::from_csr(jac, b)),
-                    }
-                    let op = BcsrOperator {
-                        a: bcsr_cache.as_ref().unwrap(),
-                        par: krylov.par,
-                    };
-                    gmres_with_events(&op, pc, &rhs, &mut delta, &krylov, tel, events, nstep)
-                } else {
-                    let op = CsrOperator::with_par(jac, krylov.par);
-                    gmres_with_events(&op, pc, &rhs, &mut delta, &krylov, tel, events, nstep)
-                }
+            (Some(_), Some(a)) => {
+                let op = BcsrOperator { a, par: krylov.par };
+                gmres_with_events(&op, pc, &rhs, &mut delta, &krylov, tel, events, nstep)
+            }
+            (Some(jac), None) => {
+                let op = CsrOperator::with_par(jac, krylov.par);
+                gmres_with_events(&op, pc, &rhs, &mut delta, &krylov, tel, events, nstep)
             }
         };
         drop(krylov_span);
@@ -634,8 +668,31 @@ pub fn solve_pseudo_transient_warm<P: PseudoTransientProblem>(
     history
 }
 
-/// Build the preconditioner `opts.precond` from the shifted Jacobian.
-fn build_precond(jac: &CsrMatrix, opts: &PseudoTransientOptions, warm: &WarmStart) -> BuiltPrecond {
+/// Build the preconditioner `opts.precond` from the shifted Jacobian, or
+/// from its BCSR form `bcsr` when the run takes block ILU(0).
+fn build_precond(
+    jac: &CsrMatrix,
+    bcsr: Option<&BcsrMatrix>,
+    opts: &PseudoTransientOptions,
+    warm: &WarmStart,
+) -> BuiltPrecond {
+    if let Some(a) = bcsr.filter(|_| opts.block_ilu().is_some()) {
+        // As below: a template with this block pattern skips the split and
+        // the level schedules, and clone + refactor is bitwise a fresh
+        // factorization.
+        let template = warm.block_ilu.as_deref().filter(|t| t.matches_pattern(a));
+        let factors = match template {
+            Some(t) => {
+                let mut f = t.clone();
+                f.refactor(a).expect("block ILU refactorization failed");
+                f
+            }
+            None => BlockIluFactors::factor(a).expect("block ILU factorization failed"),
+        };
+        return BuiltPrecond::BlockIlu(Box::new(
+            BlockIluPrecond::new(factors).with_par(opts.krylov.par),
+        ));
+    }
     match &opts.precond {
         PrecondSpec::Ilu(ilu) => {
             // A matching warm template skips the symbolic ILU(k) analysis:
@@ -656,11 +713,6 @@ fn build_precond(jac: &CsrMatrix, opts: &PseudoTransientOptions, warm: &WarmStar
             };
             BuiltPrecond::Ilu(Box::new(IluPrecond::new(factors).with_par(opts.krylov.par)))
         }
-        PrecondSpec::BlockIlu { block } => BuiltPrecond::BlockIlu(Box::new(
-            BlockIluPrecond::factor(jac, *block)
-                .expect("block ILU factorization failed")
-                .with_par(opts.krylov.par),
-        )),
         PrecondSpec::Schwarz {
             owned_sets,
             overlap,
@@ -701,7 +753,7 @@ fn abort_with_anomaly(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::test_problems::Bratu1d;
+    use crate::op::test_problems::{BlockGrid2d, Bratu1d};
 
     fn default_opts() -> PseudoTransientOptions {
         PseudoTransientOptions {
@@ -1009,7 +1061,7 @@ mod tests {
         let template = IluFactors::factor(&jac, &IluOptions::with_fill(0)).unwrap();
         let warm = WarmStart {
             ilu: Some(Arc::new(template)),
-            bcsr: None,
+            ..WarmStart::none()
         };
         assert!(!warm.is_empty());
         let (hw, qw) = run(&warm);
@@ -1045,13 +1097,121 @@ mod tests {
         let p = Bratu1d::new(30, 1.0);
         let jac = p.jacobian(&vec![0.0; 30]);
         let warm = WarmStart {
-            ilu: None,
             bcsr: Some(Arc::new(BcsrMatrix::from_csr(&jac, 5))),
+            ..WarmStart::none()
         };
         let (hw, qw) = run(&warm, &opts);
         assert!(hc.converged && hw.converged);
         assert_eq!(qc, qw);
         assert_eq!(hc.final_residual, hw.final_residual);
+    }
+
+    #[test]
+    fn warm_block_ilu_template_is_bitwise_identical_to_cold() {
+        let mut opts = default_opts();
+        opts.bcsr_block = Some(3);
+        let run = |warm: &WarmStart| {
+            let mut p = BlockGrid2d::new(6, 5, 3, 0.5);
+            let mut q = vec![0.0; p.n()];
+            let h = solve_pseudo_transient_warm(
+                &mut p,
+                &mut q,
+                &opts,
+                &Registry::disabled(),
+                &EventSink::disabled(),
+                warm,
+            );
+            (h, q)
+        };
+        let (hc, qc) = run(&WarmStart::none());
+        // Templates from the unshifted initial Jacobian: the shift changes
+        // values only, never the block pattern.
+        let p = BlockGrid2d::new(6, 5, 3, 0.5);
+        let bcsr = BcsrMatrix::from_csr(&p.jacobian(&vec![0.0; p.n()]), 3);
+        let template = BlockIluFactors::factor(&bcsr).unwrap();
+        let warm = WarmStart {
+            block_ilu: Some(Arc::new(template)),
+            bcsr: Some(Arc::new(bcsr)),
+            ..WarmStart::none()
+        };
+        assert!(!warm.is_empty());
+        let (hw, qw) = run(&warm);
+        assert!(hc.converged && hw.converged);
+        assert_eq!(qc, qw, "warm solution must be bitwise identical");
+        assert_eq!(hc.nsteps(), hw.nsteps());
+        for (a, b) in hc.steps.iter().zip(&hw.steps) {
+            assert_eq!(a.residual_norm.to_bits(), b.residual_norm.to_bits());
+            assert_eq!(a.linear_iters, b.linear_iters);
+        }
+    }
+
+    #[test]
+    fn block_ilu_rule_covers_blocked_assembled_double_ilu0_only() {
+        let mut opts = default_opts();
+        assert_eq!(opts.block_ilu(), None, "unblocked");
+        opts.bcsr_block = Some(3);
+        assert_eq!(opts.block_ilu(), Some(3));
+        let p = BlockGrid2d::new(4, 3, 3, 0.5);
+        let jac = p.jacobian(&p.solution());
+        let bcsr = BcsrMatrix::from_csr(&jac, 3);
+        let built = |opts: &PseudoTransientOptions| match build_precond(
+            &jac,
+            Some(&bcsr),
+            opts,
+            &WarmStart::none(),
+        ) {
+            BuiltPrecond::Ilu(_) => "ilu",
+            BuiltPrecond::BlockIlu(_) => "block",
+            BuiltPrecond::Schwarz(_) => "schwarz",
+        };
+        assert_eq!(built(&opts), "block");
+        let mut other = opts.clone();
+        other.precond = PrecondSpec::Ilu(IluOptions::with_fill(1));
+        assert_eq!((other.block_ilu(), built(&other)), (None, "ilu"), "fill 1");
+        other.precond = PrecondSpec::Ilu(IluOptions {
+            fill_level: 0,
+            storage: PrecStorage::Single,
+        });
+        assert_eq!((other.block_ilu(), built(&other)), (None, "ilu"), "f32");
+        let mut other = opts.clone();
+        other.matrix_free = true;
+        assert_eq!(other.block_ilu(), None, "matrix-free");
+        other.matrix_free = false;
+        other.precond = PrecondSpec::Schwarz {
+            owned_sets: vec![(0..p.n()).collect()],
+            overlap: 0,
+            ilu: IluOptions::with_fill(0),
+            restricted: true,
+        };
+        assert_eq!((other.block_ilu(), built(&other)), (None, "schwarz"));
+    }
+
+    #[test]
+    fn blocked_ilu0_takes_the_point_ilu0_steps_and_krylov_counts() {
+        // Dense blocks: block ILU(0) is point ILU(0) up to rounding, so the
+        // blocked solve (BCSR operator, block ILU(0)) must take the same
+        // Newton steps and Krylov iterations as the unblocked one.
+        let run = |bcsr_block: Option<usize>| {
+            let mut p = BlockGrid2d::new(12, 10, 3, 0.5);
+            let mut q = vec![0.0; p.n()];
+            let mut opts = default_opts();
+            opts.bcsr_block = bcsr_block;
+            assert_eq!(opts.block_ilu(), bcsr_block);
+            let h = solve_pseudo_transient(&mut p, &mut q, &opts);
+            assert!(h.converged, "{bcsr_block:?}: {:.2e}", h.reduction());
+            let iters: Vec<usize> = h.steps.iter().map(|s| s.linear_iters).collect();
+            (iters, q, p.solution())
+        };
+        let (point, qp, sol) = run(None);
+        let (block, qb, _) = run(Some(3));
+        assert_eq!(point, block);
+        assert!(
+            point.iter().any(|&k| k > 2),
+            "ILU(0) should be inexact here: {point:?}"
+        );
+        for ((u, v), s) in qp.iter().zip(&qb).zip(&sol) {
+            assert!((u - v).abs() < 1e-8 && (u - s).abs() < 1e-6, "{u} {v} {s}");
+        }
     }
 
     #[test]
@@ -1068,15 +1228,17 @@ mod tests {
         // Diagonal-only pattern: same n and block size, different nnz.
         let eye = fun3d_sparse::csr::CsrMatrix::identity(30);
         let foreign_bcsr = BcsrMatrix::from_csr(&eye, 5);
+        let foreign_block_ilu = BlockIluFactors::factor(&foreign_bcsr).unwrap();
         let mut opts = default_opts();
         opts.bcsr_block = Some(5);
         for warm in [
             WarmStart {
                 ilu: Some(Arc::new(wrong_fill)),
-                bcsr: None,
+                ..WarmStart::none()
             },
             WarmStart {
                 ilu: Some(Arc::new(wrong_dim)),
+                block_ilu: Some(Arc::new(foreign_block_ilu)),
                 bcsr: Some(Arc::new(foreign_bcsr)),
             },
         ] {

@@ -12,8 +12,8 @@
 use crate::bcsr::BcsrMatrix;
 use crate::blockspec::{analyze, BlockKernel, BlockStructure, BlockStructureStats};
 use crate::dense::{
-    block_gemm, block_gemm_sub, block_gemv_b, block_gemv_sub, block_gemv_sub_b, lu_factor,
-    lu_invert,
+    block_gemm, block_gemm_b, block_gemm_sub, block_gemm_sub_b, block_gemv_b, block_gemv_sub,
+    block_gemv_sub_b, lu_factor, lu_invert, lu_invert_b,
 };
 use crate::ilu::{level_schedule, IluError, LevelSchedule};
 use crate::par::{DisjointSliceMut, ParCtx};
@@ -62,7 +62,8 @@ impl BlockIluFactors {
         Self::factor_with_kernel(a, a.kernel())
     }
 
-    /// [`Self::factor`] with an explicit micro-kernel tier for the sweeps.
+    /// [`Self::factor`] with an explicit micro-kernel tier for the sweeps
+    /// and the numeric elimination.
     pub fn factor_with_kernel(a: &BcsrMatrix, kernel: BlockKernel) -> Result<Self, IluError> {
         assert_eq!(a.nbrows(), a.nbcols(), "block ILU needs a square matrix");
         let b = a.block_size();
@@ -74,53 +75,140 @@ impl BlockIluFactors {
         let mut u_ptr = Vec::with_capacity(nb + 1);
         let mut l_idx: Vec<u32> = Vec::new();
         let mut u_idx: Vec<u32> = Vec::new();
-        let mut l_vals: Vec<f64> = Vec::new();
-        let mut u_vals: Vec<f64> = Vec::new();
-        let mut diag: Vec<f64> = vec![0.0; nb * bb];
-        let mut has_diag = vec![false; nb];
         l_ptr.push(0);
         u_ptr.push(0);
         for i in 0..nb {
-            for (k, &c) in a.row_bcols(i).iter().enumerate() {
-                let blk = a.block(a.row_ptr()[i] + k);
-                match (c as usize).cmp(&i) {
-                    std::cmp::Ordering::Less => {
-                        l_idx.push(c);
-                        l_vals.extend_from_slice(blk);
-                    }
-                    std::cmp::Ordering::Equal => {
-                        diag[i * bb..(i + 1) * bb].copy_from_slice(blk);
-                        has_diag[i] = true;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        u_idx.push(c);
-                        u_vals.extend_from_slice(blk);
-                    }
-                }
-            }
-            if !has_diag[i] {
+            let cols = a.row_bcols(i);
+            let nl = cols.partition_point(|&c| (c as usize) < i);
+            if cols.get(nl) != Some(&(i as u32)) {
                 return Err(IluError::ZeroPivot(i));
             }
+            l_idx.extend_from_slice(&cols[..nl]);
+            u_idx.extend_from_slice(&cols[nl + 1..]);
             l_ptr.push(l_idx.len());
             u_ptr.push(u_idx.len());
         }
 
-        // Block IKJ elimination restricted to the existing pattern.
-        let mut inv_diag = vec![0.0f64; nb * bb];
+        let l_levels = level_schedule(nb, &l_ptr, &l_idx, false);
+        let u_levels = level_schedule(nb, &u_ptr, &u_idx, true);
+        let batched = kernel == BlockKernel::Batched;
+        let l_structure = batched.then(|| analyze(&l_ptr, &l_idx));
+        let u_structure = batched.then(|| analyze(&u_ptr, &u_idx));
+        let mut me = Self {
+            b,
+            nb,
+            l_vals: vec![0.0; l_idx.len() * bb],
+            u_vals: vec![0.0; u_idx.len() * bb],
+            inv_diag: vec![0.0; nb * bb],
+            l_ptr,
+            l_idx,
+            u_ptr,
+            u_idx,
+            l_levels,
+            u_levels,
+            kernel,
+            l_structure,
+            u_structure,
+        };
+        me.eliminate(a)?;
+        Ok(me)
+    }
+
+    /// Refactor from a new matrix with this factor's block pattern, keeping
+    /// the split pattern, the level schedules, the batch analysis and the
+    /// kernel tier: only the numeric block elimination reruns, so the
+    /// result is bitwise identical to a fresh [`Self::factor_with_kernel`]
+    /// with this tier.  This is the per-step path of a blocked ΨNKS solve.
+    ///
+    /// Returns [`IluError::ZeroPivot`] (with the block row) when a diagonal
+    /// block is singular; the factor values are then unspecified until the
+    /// next successful refactor.
+    ///
+    /// # Panics
+    /// Panics unless `a` has exactly this factor's block pattern
+    /// ([`Self::matches_pattern`]).
+    pub fn refactor(&mut self, a: &BcsrMatrix) -> Result<(), IluError> {
+        assert!(
+            self.matches_pattern(a),
+            "block ILU refactor needs the block pattern it was factored from"
+        );
+        self.eliminate(a)
+    }
+
+    /// Whether `a` has this factor's block size and block pattern, so that
+    /// [`Self::refactor`] accepts it (a clone then serves as a symbolic
+    /// template for `a`).
+    pub fn matches_pattern(&self, a: &BcsrMatrix) -> bool {
+        a.block_size() == self.b
+            && a.nbrows() == self.nb
+            && a.nbcols() == self.nb
+            && a.nnz_blocks() == self.nnz_blocks()
+            && (0..self.nb).all(|i| {
+                let cols = a.row_bcols(i);
+                let (l, u) = (self.l_row(i), self.u_row(i));
+                cols.len() == l.len() + 1 + u.len()
+                    && cols[..l.len()] == *l
+                    && cols[l.len()] == i as u32
+                    && cols[l.len() + 1..] == *u
+            })
+    }
+
+    fn l_row(&self, i: usize) -> &[u32] {
+        &self.l_idx[self.l_ptr[i]..self.l_ptr[i + 1]]
+    }
+
+    fn u_row(&self, i: usize) -> &[u32] {
+        &self.u_idx[self.u_ptr[i]..self.u_ptr[i + 1]]
+    }
+
+    /// Load `a`'s blocks into the split storage (the diagonal into
+    /// `inv_diag`, inverted in place as each row finishes) and run the block
+    /// IKJ elimination on the tier's kernels.
+    fn eliminate(&mut self, a: &BcsrMatrix) -> Result<(), IluError> {
+        let bb = self.b * self.b;
+        for i in 0..self.nb {
+            let src = &a.values()[a.row_ptr()[i] * bb..a.row_ptr()[i + 1] * bb];
+            let (nl, nu) = (self.l_row(i).len() * bb, self.u_row(i).len() * bb);
+            self.l_vals[self.l_ptr[i] * bb..self.l_ptr[i + 1] * bb].copy_from_slice(&src[..nl]);
+            self.inv_diag[i * bb..(i + 1) * bb].copy_from_slice(&src[nl..nl + bb]);
+            self.u_vals[self.u_ptr[i] * bb..self.u_ptr[i + 1] * bb]
+                .copy_from_slice(&src[nl + bb..nl + bb + nu]);
+        }
+        if self.kernel == BlockKernel::Generic {
+            return self.eliminate_generic();
+        }
+        match self.b {
+            4 => self.eliminate_b::<4>(),
+            5 => self.eliminate_b::<5>(),
+            3 => self.eliminate_b::<3>(),
+            2 => self.eliminate_b::<2>(),
+            _ => self.eliminate_generic(),
+        }
+    }
+
+    /// Runtime-`b` block IKJ elimination restricted to the existing pattern
+    /// — the scalar baseline tier, which finds target blocks by binary
+    /// search.
+    fn eliminate_generic(&mut self) -> Result<(), IluError> {
+        let b = self.b;
+        let bb = b * b;
+        let (l_ptr, l_idx, u_ptr, u_idx) = (&self.l_ptr, &self.l_idx, &self.u_ptr, &self.u_idx);
+        let (l_vals, u_vals, diag) = (&mut self.l_vals, &mut self.u_vals, &mut self.inv_diag);
         let mut tmp = vec![0.0f64; bb];
         let mut lu = vec![0.0f64; bb];
         let mut piv = vec![0usize; b];
-        for i in 0..nb {
+        for i in 0..self.nb {
             // For each L block (ascending k): L_ik <- A_ik * inv(U_kk), then
             // update the remaining blocks of row i against U row k.
             for li in l_ptr[i]..l_ptr[i + 1] {
                 let k = l_idx[li] as usize;
                 // tmp = L_ik * inv_diag[k]
-                {
-                    let lik = &l_vals[li * bb..(li + 1) * bb];
-                    let invk = &inv_diag[k * bb..(k + 1) * bb];
-                    block_gemm(lik, invk, &mut tmp, b);
-                }
+                block_gemm(
+                    &l_vals[li * bb..(li + 1) * bb],
+                    &diag[k * bb..(k + 1) * bb],
+                    &mut tmp,
+                    b,
+                );
                 l_vals[li * bb..(li + 1) * bb].copy_from_slice(&tmp);
                 // Row i's remaining pattern vs U row k: for j in U(k),
                 // update L_ij (j < i), D_ii (j == i), or U_ij (j > i).
@@ -153,45 +241,88 @@ impl BlockIluFactors {
                         std::cmp::Ordering::Greater => {
                             if let Some(pos) = find_block(&u_idx[u_ptr[i]..u_ptr[i + 1]], j as u32)
                             {
-                                let slot = u_ptr[i] + pos;
                                 let (done, rest) = u_vals.split_at_mut(u_ptr[i] * bb);
                                 let ukj = &done[uk * bb..(uk + 1) * bb];
-                                let off = (slot - u_ptr[i]) * bb;
-                                block_gemm_sub(&tmp, ukj, &mut rest[off..off + bb], b);
+                                block_gemm_sub(&tmp, ukj, &mut rest[pos * bb..(pos + 1) * bb], b);
                             }
                         }
                     }
                 }
             }
-            // Invert the (updated) diagonal block.
+            // Invert the (updated) diagonal block in place.
             lu.copy_from_slice(&diag[i * bb..(i + 1) * bb]);
             if lu_factor(&mut lu, &mut piv, b).is_err() {
                 return Err(IluError::ZeroPivot(i));
             }
-            lu_invert(&lu, &piv, &mut inv_diag[i * bb..(i + 1) * bb], b);
+            lu_invert(&lu, &piv, &mut diag[i * bb..(i + 1) * bb], b);
         }
+        Ok(())
+    }
 
-        let l_levels = level_schedule(nb, &l_ptr, &l_idx, false);
-        let u_levels = level_schedule(nb, &u_ptr, &u_idx, true);
-        let batched = kernel == BlockKernel::Batched;
-        let l_structure = batched.then(|| analyze(&l_ptr, &l_idx));
-        let u_structure = batched.then(|| analyze(&u_ptr, &u_idx));
-        Ok(Self {
-            b,
-            nb,
-            l_ptr,
-            l_idx,
-            u_ptr,
-            u_idx,
-            l_vals,
-            u_vals,
-            inv_diag,
-            l_levels,
-            u_levels,
-            kernel,
-            l_structure,
-            u_structure,
-        })
+    /// Const-`B` twin of [`Self::eliminate_generic`] for the fixed and
+    /// batched tiers: the same updates in the same order on the const
+    /// kernels (bitwise identical), with row i's target blocks found
+    /// through a per-row position map instead of a binary search, and no
+    /// allocation beyond the map.
+    fn eliminate_b<const B: usize>(&mut self) -> Result<(), IluError> {
+        const NONE: u32 = u32::MAX;
+        let bb = B * B;
+        let (l_ptr, l_idx, u_ptr, u_idx) = (&self.l_ptr, &self.l_idx, &self.u_ptr, &self.u_idx);
+        let (l_vals, u_vals, diag) = (&mut self.l_vals, &mut self.u_vals, &mut self.inv_diag);
+        // slot[j]: the L or U block of the current row i in block column j
+        // (L when j < i, U when j > i), or NONE outside row i's pattern.
+        let mut slot = vec![NONE; self.nb];
+        let mut tmp = [0.0f64; 25];
+        let mut lu = [0.0f64; 25];
+        let mut piv = [0usize; 5];
+        for i in 0..self.nb {
+            let (lr, ur) = (l_ptr[i]..l_ptr[i + 1], u_ptr[i]..u_ptr[i + 1]);
+            for li in lr.clone() {
+                slot[l_idx[li] as usize] = li as u32;
+            }
+            for ui in ur.clone() {
+                slot[u_idx[ui] as usize] = ui as u32;
+            }
+            // U rows k < i lie wholly before row i's first U block.
+            let (u_done, u_row) = u_vals.split_at_mut(ur.start * bb);
+            for li in lr.clone() {
+                let k = l_idx[li] as usize;
+                let tmp = &mut tmp[..bb];
+                block_gemm_b::<B>(
+                    &l_vals[li * bb..(li + 1) * bb],
+                    &diag[k * bb..(k + 1) * bb],
+                    tmp,
+                );
+                l_vals[li * bb..(li + 1) * bb].copy_from_slice(tmp);
+                for uk in u_ptr[k]..u_ptr[k + 1] {
+                    let j = u_idx[uk] as usize;
+                    let ukj = &u_done[uk * bb..(uk + 1) * bb];
+                    let target = match j.cmp(&i) {
+                        std::cmp::Ordering::Equal => &mut diag[i * bb..(i + 1) * bb],
+                        _ if slot[j] == NONE => continue,
+                        std::cmp::Ordering::Less => {
+                            let s = slot[j] as usize;
+                            &mut l_vals[s * bb..(s + 1) * bb]
+                        }
+                        std::cmp::Ordering::Greater => {
+                            let s = slot[j] as usize - ur.start;
+                            &mut u_row[s * bb..(s + 1) * bb]
+                        }
+                    };
+                    block_gemm_sub_b::<B>(tmp, ukj, target);
+                }
+            }
+            for &c in l_idx[lr].iter().chain(&u_idx[ur]) {
+                slot[c as usize] = NONE;
+            }
+            let lu = &mut lu[..bb];
+            lu.copy_from_slice(&diag[i * bb..(i + 1) * bb]);
+            if lu_factor(lu, &mut piv[..B], B).is_err() {
+                return Err(IluError::ZeroPivot(i));
+            }
+            lu_invert_b::<B>(lu, &piv[..B], &mut diag[i * bb..(i + 1) * bb]);
+        }
+        Ok(())
     }
 
     /// The micro-kernel tier the triangular sweeps dispatch to.
@@ -681,6 +812,140 @@ mod tests {
         assert_eq!(BlockIluFactors::factor(&ab), Err(IluError::ZeroPivot(1)));
     }
 
+    /// The bits of every stored factor value (L, U, inverted diagonal).
+    fn value_bits(f: &BlockIluFactors) -> Vec<u64> {
+        f.l_vals
+            .iter()
+            .chain(&f.u_vals)
+            .chain(&f.inv_diag)
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// `a` with every stored value scaled by a factor in `[1, 1.06]` that
+    /// varies by slot: same block pattern, other values.
+    fn perturbed(a: &BcsrMatrix) -> BcsrMatrix {
+        let mut a2 = a.clone();
+        for (k, v) in a2.values_mut().iter_mut().enumerate() {
+            *v *= 1.0 + 0.01 * (k % 7) as f64;
+        }
+        a2
+    }
+
+    #[test]
+    fn singular_diagonal_block_in_refactor_reports_row() {
+        use crate::blockspec::BlockKernel;
+        // b = 2 and 4 reach the const elimination on the fixed and batched
+        // tiers; 6 runs the runtime-b elimination on every tier.
+        for b in [2usize, 4, 6] {
+            let a = BcsrMatrix::from_csr(&block_tridiag(6, b, 41), b);
+            let mut bad = a.clone();
+            // Zero block row 3's lower and diagonal blocks (the pattern
+            // stays): the zero L block updates nothing, so the diagonal
+            // block stays zero and singular.
+            let bb = b * b;
+            let rp = bad.row_ptr()[3];
+            bad.values_mut()[rp * bb..(rp + 2) * bb].fill(0.0);
+            for kernel in [
+                BlockKernel::Generic,
+                BlockKernel::Fixed,
+                BlockKernel::Batched,
+            ] {
+                let fresh = BlockIluFactors::factor_with_kernel(&bad, kernel);
+                assert_eq!(fresh.err(), Some(IluError::ZeroPivot(3)), "b={b} {kernel}");
+                let mut f = BlockIluFactors::factor_with_kernel(&a, kernel).unwrap();
+                assert_eq!(
+                    f.refactor(&bad),
+                    Err(IluError::ZeroPivot(3)),
+                    "b={b} {kernel}"
+                );
+                // A later good refactor recovers the fresh factor exactly.
+                f.refactor(&a).unwrap();
+                let g = BlockIluFactors::factor_with_kernel(&a, kernel).unwrap();
+                assert_eq!(value_bits(&f), value_bits(&g), "b={b} {kernel}");
+            }
+        }
+    }
+
+    #[test]
+    fn foreign_patterns_do_not_match() {
+        let a = BcsrMatrix::from_csr(&block_tridiag(8, 4, 2), 4);
+        let f = BlockIluFactors::factor(&a).unwrap();
+        assert!(f.matches_pattern(&a));
+        assert!(f.matches_pattern(&perturbed(&a)));
+        // Same size and block size, diagonal-only pattern.
+        let eye = BcsrMatrix::from_csr(&CsrMatrix::identity(32), 4);
+        assert!(!f.matches_pattern(&eye));
+        // Same point matrix, other block size.
+        let a2 = BcsrMatrix::from_csr(&block_tridiag(8, 4, 2), 2);
+        assert!(!f.matches_pattern(&a2));
+        // Other dimension.
+        let small = BcsrMatrix::from_csr(&block_tridiag(7, 4, 2), 4);
+        assert!(!f.matches_pattern(&small));
+    }
+
+    #[test]
+    #[should_panic(expected = "block pattern")]
+    fn refactor_rejects_a_foreign_pattern() {
+        let a = BcsrMatrix::from_csr(&block_tridiag(8, 4, 2), 4);
+        let mut f = BlockIluFactors::factor(&a).unwrap();
+        let eye = BcsrMatrix::from_csr(&CsrMatrix::identity(32), 4);
+        let _ = f.refactor(&eye);
+    }
+
+    #[test]
+    fn point_and_block_ilu0_agree_on_dense_blocks() {
+        // Every stored block is dense, so point ILU(0) keeps exactly the
+        // fill block ILU(0) keeps: the same preconditioner up to rounding,
+        // on a pattern whose dropped fill makes ILU(0) inexact.
+        for (b, nb, seed) in [(4usize, 60usize, 17u64), (5, 40, 23), (2, 80, 5)] {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut t = TripletMatrix::new(nb * b, nb * b);
+            for i in 0..nb {
+                let mut js = vec![i];
+                for _ in 0..3 {
+                    js.push(rng.gen_range(0..nb));
+                }
+                js.sort_unstable();
+                js.dedup();
+                for j in js {
+                    // Magnitudes in [0.05, 0.3]: no entry is dropped.
+                    let mut blk: Vec<f64> = (0..b * b)
+                        .map(|_| {
+                            let m: f64 = rng.gen_range(0.05..0.3);
+                            if rng.gen_bool(0.5) {
+                                m
+                            } else {
+                                -m
+                            }
+                        })
+                        .collect();
+                    if i == j {
+                        for d in 0..b {
+                            blk[d * b + d] += 4.0;
+                        }
+                    }
+                    t.push_block(i, j, b, &blk);
+                }
+            }
+            let a = t.to_csr();
+            let ab = BcsrMatrix::from_csr(&a, b);
+            assert_eq!(ab.nnz_blocks() * b * b, a.nnz(), "dense blocks");
+            let fb = BlockIluFactors::factor(&ab).unwrap();
+            let fp = IluFactors::factor(&a, &IluOptions::with_fill(0)).unwrap();
+            let n = a.nrows();
+            let rhs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() + 0.1).collect();
+            let (mut xb, mut xp) = (vec![0.0; n], vec![0.0; n]);
+            fb.solve(&rhs, &mut xb);
+            fp.solve(&rhs, &mut xp);
+            let diff: Vec<f64> = xb.iter().zip(&xp).map(|(u, v)| u - v).collect();
+            let rel = norm2(&diff) / norm2(&xp);
+            assert!(rel <= 1e-12, "b={b}: relative difference {rel:e}");
+            // And ILU(0) really drops fill here.
+            assert!(residual(&a, &xb, &rhs) > 1e-8 * norm2(&rhs), "b={b}");
+        }
+    }
+
     #[test]
     fn parallel_block_solve_is_bitwise_sequential() {
         use crate::par::ParCtx;
@@ -784,6 +1049,52 @@ mod tests {
                     let at = format!("kernel={kernel} b={b} nthreads={nthreads}");
                     proptest::prop_assert_eq!(&x0, &xp, "{}", at);
                 }
+            }
+        }
+
+        /// `refactor` is a fresh `factor` bit for bit on random block
+        /// patterns, for `b` = 1..=6 on every kernel tier, after first
+        /// refactoring from other values; and every tier's elimination
+        /// equals the runtime-`b` one.
+        #[test]
+        fn refactor_is_bitwise_a_fresh_factor(
+            nb in 1usize..14,
+            b in 1usize..7,
+            entries in proptest::collection::vec((0usize..14, 0usize..14, -1.0f64..1.0), 0..50),
+        ) {
+            use crate::blockspec::BlockKernel;
+            let mut t = TripletMatrix::new(nb * b, nb * b);
+            let mut ndiag = vec![0usize; nb];
+            // Entries wrap onto the matrix, so small ones are dense and
+            // most updates land on stored blocks.
+            for &(bi, bj, v) in &entries {
+                let (bi, bj) = (bi % nb, bj % nb);
+                if bi != bj {
+                    let blk: Vec<f64> = (0..b * b).map(|q| v * 0.1 + q as f64 * 0.001).collect();
+                    t.push_block(bi, bj, b, &blk);
+                    ndiag[bi] += 1;
+                }
+            }
+            for (bi, &count) in ndiag.iter().enumerate() {
+                let mut blk: Vec<f64> =
+                    (0..b * b).map(|q| (q as f64 * 0.013).sin() * 0.2).collect();
+                for d in 0..b {
+                    blk[d * b + d] += 2.0 + count as f64;
+                }
+                t.push_block(bi, bi, b, &blk);
+            }
+            let a1 = BcsrMatrix::from_csr(&t.to_csr(), b);
+            let a2 = perturbed(&a1);
+            let reference = value_bits(
+                &BlockIluFactors::factor_with_kernel(&a2, BlockKernel::Generic).unwrap(),
+            );
+            for kernel in [BlockKernel::Generic, BlockKernel::Fixed, BlockKernel::Batched] {
+                let fresh = BlockIluFactors::factor_with_kernel(&a2, kernel).unwrap();
+                proptest::prop_assert_eq!(&reference, &value_bits(&fresh), "fresh {}", kernel);
+                let mut f = BlockIluFactors::factor_with_kernel(&a1, kernel).unwrap();
+                f.refactor(&a2).unwrap();
+                proptest::prop_assert_eq!(&reference, &value_bits(&f), "refactor {}", kernel);
+                proptest::prop_assert_eq!(f.kernel(), kernel);
             }
         }
     }

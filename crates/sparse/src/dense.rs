@@ -169,6 +169,73 @@ pub fn block_gemv_b<const N: usize>(a: &[f64], x: &[f64; N]) -> [f64; N] {
     y
 }
 
+/// [`lu_invert`] for an `N x N` block with `N` known at compile time: the
+/// same column-by-column [`lu_solve`] arithmetic on a stack column, so it is
+/// bitwise identical and allocates nothing.
+#[inline]
+pub(crate) fn lu_invert_b<const N: usize>(lu: &[f64], piv: &[usize], inv: &mut [f64]) {
+    debug_assert!(lu.len() >= N * N && piv.len() >= N && inv.len() >= N * N);
+    for j in 0..N {
+        let mut col = [0.0f64; N];
+        col[j] = 1.0;
+        for k in 0..N {
+            col.swap(k, piv[k]);
+        }
+        for i in 1..N {
+            let mut s = col[i];
+            for q in 0..i {
+                s -= lu[i * N + q] * col[q];
+            }
+            col[i] = s;
+        }
+        for i in (0..N).rev() {
+            let mut s = col[i];
+            for q in (i + 1)..N {
+                s -= lu[i * N + q] * col[q];
+            }
+            col[i] = s / lu[i * N + i];
+        }
+        for i in 0..N {
+            inv[i * N + j] = col[i];
+        }
+    }
+}
+
+/// `C <- C - A * B` for `N x N` blocks with `N` known at compile time — the
+/// const-unrolled twin of [`block_gemm_sub`], with the same loop order and
+/// the same skip of zero `A` entries, hence bitwise identical.
+#[inline(always)]
+pub(crate) fn block_gemm_sub_b<const N: usize>(a: &[f64], b: &[f64], c: &mut [f64]) {
+    debug_assert!(a.len() >= N * N && b.len() >= N * N && c.len() >= N * N);
+    for i in 0..N {
+        for k in 0..N {
+            let aik = a[i * N + k];
+            if aik == 0.0 {
+                continue;
+            }
+            for j in 0..N {
+                c[i * N + j] -= aik * b[k * N + j];
+            }
+        }
+    }
+}
+
+/// `C <- A * B` for `N x N` blocks with `N` known at compile time — the
+/// const-unrolled twin of [`block_gemm`], bitwise identical.
+#[inline(always)]
+pub(crate) fn block_gemm_b<const N: usize>(a: &[f64], b: &[f64], c: &mut [f64]) {
+    debug_assert!(a.len() >= N * N && b.len() >= N * N && c.len() >= N * N);
+    c[..N * N].iter_mut().for_each(|v| *v = 0.0);
+    for i in 0..N {
+        for k in 0..N {
+            let aik = a[i * N + k];
+            for j in 0..N {
+                c[i * N + j] += aik * b[k * N + j];
+            }
+        }
+    }
+}
+
 /// `C <- C - A * B` for row-major `n x n` blocks (the Schur update inside the
 /// block ILU factorization).
 #[inline]
@@ -324,6 +391,50 @@ mod tests {
         let xa: [f64; 5] = x.as_slice().try_into().unwrap();
         let y4 = block_gemv_b::<5>(&a, &xa);
         assert_eq!(y3, y4);
+    }
+
+    #[test]
+    fn fixed_factor_twins_match_runtime_bitwise() {
+        // The block-ILU elimination's const kernels, against the runtime-n
+        // ones, bit for bit.  Zero entries of `A` (including -0.0) and a
+        // -0.0 in `C` pin the skipped updates.
+        fn check<const N: usize>() {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let a: Vec<f64> = (0..N * N)
+                .map(|i| match i % 4 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => ((i * 29) % 11) as f64 * 0.23 - 1.1,
+                })
+                .collect();
+            let b: Vec<f64> = (0..N * N).map(|i| -((i as f64) * 0.37).cos()).collect();
+            let mut c0: Vec<f64> = (0..N * N).map(|i| (i as f64 * 0.53).sin()).collect();
+            c0[0] = -0.0;
+            let mut c1 = c0.clone();
+            let mut c2 = c0.clone();
+            block_gemm_sub(&a, &b, &mut c1, N);
+            block_gemm_sub_b::<N>(&a, &b, &mut c2);
+            assert_eq!(bits(&c1), bits(&c2), "gemm_sub N={N}");
+            block_gemm(&a, &b, &mut c1, N);
+            block_gemm_b::<N>(&a, &b, &mut c2);
+            assert_eq!(bits(&c1), bits(&c2), "gemm N={N}");
+            // A pivoting factorization: diagonally weak, so rows swap.
+            let mut lu: Vec<f64> = (0..N * N)
+                .map(|i| ((i * 17) % 7) as f64 - 3.0 + if i % (N + 1) == 0 { 0.5 } else { 0.0 })
+                .collect();
+            let mut piv = vec![0usize; N];
+            lu_factor(&mut lu, &mut piv, N).unwrap();
+            let mut inv1 = vec![0.0; N * N];
+            let mut inv2 = vec![0.0; N * N];
+            lu_invert(&lu, &piv, &mut inv1, N);
+            lu_invert_b::<N>(&lu, &piv, &mut inv2);
+            assert_eq!(bits(&inv1), bits(&inv2), "invert N={N}");
+        }
+        check::<1>();
+        check::<2>();
+        check::<3>();
+        check::<4>();
+        check::<5>();
     }
 
     #[test]

@@ -151,11 +151,11 @@ fn second_order_continuation_converges_matrix_free() {
 #[test]
 fn block_ilu_preconditioned_solve_converges() {
     // The PETSc-FUN3D configuration once blocking is on: BCSR operator +
-    // point-block ILU(0) preconditioner.
+    // point-block ILU(0) preconditioner, which a blocked ILU(0) run gets.
     let mut cfg = CaseConfig::small();
     cfg.mesh = BumpChannelSpec::with_dims(9, 6, 6);
     cfg.nks = nks(60);
-    cfg.nks.precond = PrecondSpec::BlockIlu { block: 4 };
+    cfg.nks.precond = PrecondSpec::Ilu(IluOptions::with_fill(0));
     let report = run_case(&cfg);
     assert!(
         report.history.converged,
