@@ -7,8 +7,9 @@
 //! * [`scenario`] — [`ScenarioClass`] (mesh family + physics + layout), its
 //!   bit-exact [`FamilyKey`], and the request/response types.
 //! * [`state`] — [`FamilyState`]: the immutable per-family state (ordered
-//!   mesh, vertex-graph partition, symbolic ILU(k) and BCSR structure
-//!   templates) split out of the solve path and shared behind an `Arc`.
+//!   mesh, vertex-graph partition, symbolic ILU(k), block ILU(0) and BCSR
+//!   structure templates) split out of the solve path and shared behind
+//!   an `Arc`.
 //!   [`state::direct_solve`] is the uncached reference path; cached solves
 //!   are **bitwise identical** to it (the templates only skip symbolic
 //!   setup — numerics rerun in full, pinned by tests).
