@@ -1,6 +1,8 @@
 //! Criterion micro-bench: the edge-based flux kernel under the orderings of
 //! Table 1 / Figure 3 — sorted vs vector-colored edges, first vs second
-//! order, interlaced vs segregated fields.
+//! order, interlaced vs segregated fields — for the incompressible model,
+//! plus the compressible first-order residual on the tuned ordering, the
+//! per-vertex wave-speed sums of both models, and Jacobian assembly.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fun3d_bench::perturbed_state;
@@ -10,6 +12,7 @@ use fun3d_euler::model::FlowModel;
 use fun3d_euler::residual::{Discretization, SpatialOrder};
 use fun3d_mesh::generator::BumpChannelSpec;
 use fun3d_mesh::reorder::{EdgeOrdering, VertexOrdering};
+use fun3d_mesh::tet::TetMesh;
 use fun3d_sparse::layout::FieldLayout;
 
 fn bench_flux(c: &mut Criterion) {
@@ -31,10 +34,7 @@ fn bench_flux(c: &mut Criterion) {
         let mesh = apply_orderings(base.clone(), vord, eord);
         group.throughput(Throughput::Elements(mesh.nedges() as u64));
         for layout in [FieldLayout::Interlaced, FieldLayout::Segregated] {
-            let lname = match layout {
-                FieldLayout::Interlaced => "interlaced",
-                FieldLayout::Segregated => "segregated",
-            };
+            let lname = layout_name(layout);
             let disc = Discretization::new(
                 &mesh,
                 FlowModel::incompressible(),
@@ -62,7 +62,63 @@ fn bench_flux(c: &mut Criterion) {
             b.iter(|| disc.residual(&q, &mut res, &mut ws))
         });
     }
+    // The compressible first-order residual (the matrix-free operator of
+    // the compressible runs) on the tuned ordering, in both layouts.
+    let mesh = tuned(&base);
+    group.throughput(Throughput::Elements(mesh.nedges() as u64));
+    for layout in [FieldLayout::Interlaced, FieldLayout::Segregated] {
+        let disc = Discretization::new(
+            &mesh,
+            FlowModel::compressible(),
+            layout,
+            SpatialOrder::First,
+        );
+        let q = perturbed_state(&disc, 0.01);
+        let mut res = FieldVec::zeros(mesh.nverts(), 5, layout);
+        let mut ws = disc.workspace();
+        group.bench_function(format!("comp-first-tuned-{}", layout_name(layout)), |b| {
+            b.iter(|| disc.residual(&q, &mut res, &mut ws))
+        });
+    }
     group.finish();
+}
+
+/// The per-vertex wave-speed sums behind the pseudo-timestep scale, on the
+/// tuned ordering.
+fn bench_wavespeed(c: &mut Criterion) {
+    let mesh = tuned(&BumpChannelSpec::with_target_vertices(15_000).build());
+    let mut group = c.benchmark_group("wavespeed");
+    group.throughput(Throughput::Elements(mesh.nedges() as u64));
+    for model in [FlowModel::incompressible(), FlowModel::compressible()] {
+        let disc = Discretization::new(&mesh, model, FieldLayout::Interlaced, SpatialOrder::First);
+        let q = perturbed_state(&disc, 0.01);
+        group.bench_function(model_name(model), |b| b.iter(|| disc.wavespeed_sums(&q)));
+    }
+    group.finish();
+}
+
+/// The tuned ordering of Table 1: RCM vertices, vertex-sorted edges.
+fn tuned(base: &TetMesh) -> TetMesh {
+    apply_orderings(
+        base.clone(),
+        VertexOrdering::ReverseCuthillMcKee,
+        EdgeOrdering::VertexSorted,
+    )
+}
+
+fn layout_name(layout: FieldLayout) -> &'static str {
+    match layout {
+        FieldLayout::Interlaced => "interlaced",
+        FieldLayout::Segregated => "segregated",
+    }
+}
+
+fn model_name(model: FlowModel) -> &'static str {
+    if model.ncomp() == 4 {
+        "incomp"
+    } else {
+        "comp"
+    }
 }
 
 fn bench_jacobian(c: &mut Criterion) {
@@ -72,8 +128,7 @@ fn bench_jacobian(c: &mut Criterion) {
     for model in [FlowModel::incompressible(), FlowModel::compressible()] {
         let disc = Discretization::new(&mesh, model, FieldLayout::Interlaced, SpatialOrder::First);
         let q = perturbed_state(&disc, 0.01);
-        let tag = if model.ncomp() == 4 { "incomp" } else { "comp" };
-        group.bench_function(tag, |b| b.iter(|| disc.jacobian(&q)));
+        group.bench_function(model_name(model), |b| b.iter(|| disc.jacobian(&q)));
     }
     group.finish();
 }
@@ -81,6 +136,6 @@ fn bench_jacobian(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_flux, bench_jacobian
+    targets = bench_flux, bench_wavespeed, bench_jacobian
 }
 criterion_main!(benches);

@@ -158,6 +158,101 @@ impl FieldVec {
     }
 }
 
+/// A field layout fixed at compile time, for kernels monomorphized per
+/// layout.  A field holds `width` values per vertex: interlaced, those of
+/// one vertex are adjacent; segregated, each value index has its own plane
+/// of `nv` entries.
+pub(crate) trait Layout {
+    /// The runtime layout this type stands for.
+    const LAYOUT: FieldLayout;
+
+    /// Flat index of value `k` of vertex `v`.
+    #[inline(always)]
+    fn at(nv: usize, width: usize, v: usize, k: usize) -> usize {
+        match Self::LAYOUT {
+            FieldLayout::Interlaced => v * width + k,
+            FieldLayout::Segregated => k * nv + v,
+        }
+    }
+
+    /// The `N` values of vertex `v` in a field of width `N`.
+    #[inline(always)]
+    fn load<const N: usize>(data: &[f64], nv: usize, v: usize) -> [f64; N] {
+        match Self::LAYOUT {
+            FieldLayout::Interlaced => {
+                let s = &data[v * N..(v + 1) * N];
+                std::array::from_fn(|k| s[k])
+            }
+            FieldLayout::Segregated => std::array::from_fn(|k| data[k * nv + v]),
+        }
+    }
+
+    /// Store the `N` values of vertex `v` in a field of width `N`.
+    #[inline(always)]
+    fn store<const N: usize>(data: &mut [f64], nv: usize, v: usize, vals: &[f64; N]) {
+        match Self::LAYOUT {
+            FieldLayout::Interlaced => data[v * N..(v + 1) * N].copy_from_slice(vals),
+            FieldLayout::Segregated => {
+                for k in 0..N {
+                    data[k * nv + v] = vals[k];
+                }
+            }
+        }
+    }
+
+    /// Add `f[..width]` to the values of vertex `v`.
+    #[inline(always)]
+    fn add(data: &mut [f64], nv: usize, width: usize, v: usize, f: &Comp) {
+        for k in 0..width {
+            data[Self::at(nv, width, v, k)] += f[k];
+        }
+    }
+
+    /// Subtract `f[..width]` from the values of vertex `v`.
+    #[inline(always)]
+    fn sub(data: &mut [f64], nv: usize, width: usize, v: usize, f: &Comp) {
+        for k in 0..width {
+            data[Self::at(nv, width, v, k)] -= f[k];
+        }
+    }
+}
+
+/// [`FieldLayout::Interlaced`] as a type.
+pub(crate) struct Interlaced;
+
+impl Layout for Interlaced {
+    const LAYOUT: FieldLayout = FieldLayout::Interlaced;
+}
+
+/// [`FieldLayout::Segregated`] as a type.
+pub(crate) struct Segregated;
+
+impl Layout for Segregated {
+    const LAYOUT: FieldLayout = FieldLayout::Segregated;
+}
+
+/// A fixed-size per-vertex record that kernels gather from, and store to,
+/// a field of its own width in a compile-time layout.
+pub(crate) trait Record: Copy + std::ops::Index<usize, Output = f64> {
+    /// The record of vertex `v`.
+    fn load<L: Layout>(data: &[f64], nv: usize, v: usize) -> Self;
+
+    /// Store this record as vertex `v`'s.
+    fn store<L: Layout>(&self, data: &mut [f64], nv: usize, v: usize);
+}
+
+impl<const N: usize> Record for [f64; N] {
+    #[inline(always)]
+    fn load<L: Layout>(data: &[f64], nv: usize, v: usize) -> Self {
+        L::load(data, nv, v)
+    }
+
+    #[inline(always)]
+    fn store<L: Layout>(&self, data: &mut [f64], nv: usize, v: usize) {
+        L::store(data, nv, v, self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,6 +23,36 @@
 //! The flux kernel is the instruction-scheduling-bound phase of the paper
 //! (over 60% of execution time); its memory reference pattern under the
 //! different edge/vertex orderings is what Table 1 and Figure 3 measure.
+//!
+//! # The vertex/face split
+//!
+//! Each model's Rusanov flux is split into a per-vertex part and a
+//! per-face part.  A vertex pass computes one record per vertex, once per
+//! evaluation; the face part combines two records with a face normal.  The
+//! first-order edge loop, the boundary-face loop, the wave-speed sums and
+//! the Jacobian's edge and boundary loops are then one kernel,
+//! monomorphized over (model, layout) and dispatched once per call, not
+//! once per edge.  [`FlowModel`]'s `flux`, `max_wavespeed`,
+//! `flux_jacobian` and `pressure` build a record and call the same face
+//! part, so each formula is written once; the second-order path turns its
+//! reconstructed states into records the same way.
+//!
+//! * *Records.* A compressible record holds 12 values: the state, `1/rho`,
+//!   the velocities `m * (1/rho)`, two pressures and the sound speed.  The
+//!   incompressible model has nothing worth storing: its kernels read the
+//!   state directly, and its flux and wave speed share `theta = u . n`.
+//! * *Layout.* The record buffer, owned by [`residual::Workspace`], follows
+//!   the discretization's layout: one record per vertex when interlaced,
+//!   one plane per quantity when segregated.  Table 1's layout column thus
+//!   still measures gathers in the layout it names.
+//! * *Bitwise.* Results are bitwise those of the per-edge formulas.  Three
+//!   formulas round differently and each stays where it was used: the flux
+//!   (and its Jacobian) takes `p = (gamma-1)(E - rho |u|^2 / 2)` with
+//!   `u = m * (1/rho)`; `pressure()`, the wall flux and the wave speed take
+//!   `(gamma-1)(E - |m|^2 / (2 rho))`, the wave speed with the normal
+//!   velocity `(m . n) * (1/rho)`; the wall Jacobian's `dp/dq` takes
+//!   `u = m / rho`.  Every loop keeps the order of its additions into the
+//!   residual and into the Jacobian's value slots.
 
 pub mod field;
 pub mod gradient;

@@ -13,14 +13,22 @@
 //! analytical Jacobian matrix").  Second-order accuracy comes from limited
 //! MUSCL reconstruction of the endpoint states (see [`crate::gradient`]);
 //! per the paper the Jacobian stays first-order regardless.
+//!
+//! The first-order loops run in two passes.  A vertex pass computes each
+//! vertex's flux record once per evaluation (see the crate docs); the
+//! edge, boundary-face, wave-speed and Jacobian loops then combine records
+//! with face normals.  Each loop is one kernel, monomorphized over the flow
+//! model and the field layout and dispatched once per call.
 
-use crate::field::FieldVec;
+use crate::field::{FieldVec, Interlaced, Layout, Record, Segregated};
 use crate::gradient::{reconstruct_edge, Gradients};
-use crate::model::{Comp, FlowModel, MAX_COMP};
+use crate::model::{Comp, CompressibleFlux, FlowModel, FluxSplit, IncompressibleFlux, MAX_COMP};
 use fun3d_mesh::tet::{BoundaryKind, TetMesh};
 use fun3d_sparse::csr::CsrMatrix;
 use fun3d_sparse::layout::FieldLayout;
 use fun3d_sparse::par::ParCtx;
+use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Spatial accuracy of the flux evaluation.
@@ -41,6 +49,55 @@ pub enum SpatialOrder {
 #[derive(Debug, Clone)]
 pub struct Workspace {
     grads: Gradients,
+    /// The vertex pass's flux records, in the discretization's layout
+    /// (empty for a model that stores nothing per vertex).
+    records: Vec<f64>,
+}
+
+/// The per-vertex part of the flux at one state, built once per flux
+/// evaluation by [`Discretization::vertex_states`] and shared by every edge
+/// range and thread of that evaluation.
+///
+/// It holds one record per vertex in the discretization's layout: adjacent
+/// values when interlaced, one plane per quantity when segregated.  For a
+/// model that stores nothing per vertex it is the state itself.
+#[derive(Debug, Clone, Copy)]
+pub struct VertexStates<'a> {
+    records: &'a [f64],
+}
+
+/// Evaluates `$body` with `$s` bound to the flux split of `$disc`'s model
+/// and the type aliases `$P` and `$L` naming that split and `$disc`'s
+/// layout: the one (model, layout) dispatch of each kernel call.
+macro_rules! dispatch {
+    ($disc:expr, |$s:ident: $P:ident, $L:ident| $body:expr) => {
+        match ($disc.model, $disc.layout) {
+            (FlowModel::Incompressible { beta }, FieldLayout::Interlaced) => {
+                type $P = IncompressibleFlux;
+                type $L = Interlaced;
+                let $s = $P { beta };
+                $body
+            }
+            (FlowModel::Incompressible { beta }, FieldLayout::Segregated) => {
+                type $P = IncompressibleFlux;
+                type $L = Segregated;
+                let $s = $P { beta };
+                $body
+            }
+            (FlowModel::Compressible { gamma }, FieldLayout::Interlaced) => {
+                type $P = CompressibleFlux;
+                type $L = Interlaced;
+                let $s = $P { gamma };
+                $body
+            }
+            (FlowModel::Compressible { gamma }, FieldLayout::Segregated) => {
+                type $P = CompressibleFlux;
+                type $L = Segregated;
+                let $s = $P { gamma };
+                $body
+            }
+        }
+    };
 }
 
 /// The spatial discretization on a mesh.
@@ -143,55 +200,98 @@ impl<'m> Discretization<'m> {
     pub fn workspace(&self) -> Workspace {
         Workspace {
             grads: Gradients::zeros(self.mesh.nverts(), self.ncomp()),
+            records: self.record_buffer(),
         }
+    }
+
+    /// A buffer for the vertex pass's records.
+    fn record_buffer(&self) -> Vec<f64> {
+        vec![0.0; self.mesh.nverts() * self.model.hoisted_len()]
+    }
+
+    fn check_state(&self, q: &FieldVec) {
+        assert_eq!(q.nverts(), self.mesh.nverts());
+        assert_eq!(q.ncomp(), self.ncomp());
+        assert_eq!(q.layout(), self.layout);
+    }
+
+    /// Run the vertex pass at `q`: compute each vertex's flux record into
+    /// `ws`, for the [`edge_flux_residual`](Self::edge_flux_residual) calls
+    /// of one flux evaluation to share.
+    pub fn vertex_states<'a>(&self, q: &'a FieldVec, ws: &'a mut Workspace) -> VertexStates<'a> {
+        self.fill_states(q, &mut ws.records)
+    }
+
+    fn fill_states<'a>(&self, q: &'a FieldVec, buf: &'a mut [f64]) -> VertexStates<'a> {
+        self.check_state(q);
+        dispatch!(self, |s: P, L| {
+            if P::HOISTED == 0 {
+                return VertexStates {
+                    records: q.as_slice(),
+                };
+            }
+            let nv = self.mesh.nverts();
+            assert_eq!(
+                buf.len(),
+                nv * P::HOISTED,
+                "workspace built for another discretization"
+            );
+            let data = q.as_slice();
+            for v in 0..nv {
+                let mut state = [0.0; MAX_COMP];
+                for c in 0..P::NCOMP {
+                    state[c] = data[L::at(nv, P::NCOMP, v, c)];
+                }
+                s.record(&state).store::<L>(buf, nv, v);
+            }
+        });
+        VertexStates { records: buf }
+    }
+
+    /// Gradients for a second-order evaluation at `q`, computed into
+    /// `grads`; `None` at first order.
+    fn gradients<'a>(&self, q: &FieldVec, grads: &'a mut Gradients) -> Option<&'a Gradients> {
+        if matches!(self.order, SpatialOrder::First) {
+            return None;
+        }
+        grads.compute(self.mesh, q);
+        Some(grads)
     }
 
     /// Evaluate `R(q)` into `res` (both in this discretization's layout).
     pub fn residual(&self, q: &FieldVec, res: &mut FieldVec, ws: &mut Workspace) {
-        assert_eq!(q.nverts(), self.mesh.nverts());
-        assert_eq!(q.ncomp(), self.ncomp());
-        assert_eq!(q.layout(), self.layout);
         res.as_mut_slice().iter_mut().for_each(|x| *x = 0.0);
-        let second = !matches!(self.order, SpatialOrder::First);
-        let limited = matches!(self.order, SpatialOrder::SecondLimited);
-        if second {
-            ws.grads.compute(self.mesh, q);
-        }
-        let grads = second.then_some(&ws.grads);
+        let Workspace { grads, records } = ws;
+        let states = self.fill_states(q, records);
+        let grads = self.gradients(q, grads);
         let nedges = self.mesh.nedges();
-        self.flux_pass(q, grads, limited, res, 0..nedges);
+        self.flux_pass(&states, q, grads, res, 0..nedges);
         if let Some(mu) = self.viscosity {
             self.viscous_pass(mu, q, res, 0..nedges);
         }
-        self.boundary_pass(q, res);
+        self.boundary_pass(&states, res);
     }
 
     /// Threaded [`residual`](Self::residual): the edge loops are partitioned
     /// across the team with per-thread *private* residual arrays, gathered
     /// into `res` in ascending thread order afterwards — the paper's
     /// OpenMP private-array scheme (Section 2.5), where the gather is the
-    /// ghost-accumulation step.  Gradients and boundary fluxes stay
-    /// sequential.  The gather reorders floating-point additions, so the
-    /// result matches the sequential kernel to rounding (~1e-15 relative),
-    /// deterministically for a fixed thread count.
+    /// ghost-accumulation step.  The vertex pass, gradients and boundary
+    /// fluxes stay sequential.  The gather reorders floating-point
+    /// additions, so the result matches the sequential kernel to rounding
+    /// (~1e-15 relative), deterministically for a fixed thread count.
     pub fn residual_par(&self, q: &FieldVec, res: &mut FieldVec, ws: &mut Workspace, ctx: &ParCtx) {
         if ctx.nthreads() == 1 {
             return self.residual(q, res, ws);
         }
-        assert_eq!(q.nverts(), self.mesh.nverts());
-        assert_eq!(q.ncomp(), self.ncomp());
-        assert_eq!(q.layout(), self.layout);
         res.as_mut_slice().iter_mut().for_each(|x| *x = 0.0);
-        let second = !matches!(self.order, SpatialOrder::First);
-        let limited = matches!(self.order, SpatialOrder::SecondLimited);
-        if second {
-            ws.grads.compute(self.mesh, q);
-        }
-        let grads = second.then_some(&ws.grads);
+        let Workspace { grads, records } = ws;
+        let states = self.fill_states(q, records);
+        let grads = self.gradients(q, grads);
         let nedges = self.mesh.nedges();
         let privates = ctx.map_chunks("residual_flux", nedges, |_, range| {
             let mut local = FieldVec::zeros(self.mesh.nverts(), self.ncomp(), self.layout);
-            self.flux_pass(q, grads, limited, &mut local, range.clone());
+            self.flux_pass(&states, q, grads, &mut local, range.clone());
             if let Some(mu) = self.viscosity {
                 self.viscous_pass(mu, q, &mut local, range);
             }
@@ -202,7 +302,7 @@ impl<'m> Discretization<'m> {
                 *r += p;
             }
         }
-        self.boundary_pass(q, res);
+        self.boundary_pass(&states, res);
     }
 
     /// Analytic bytes moved by one [`residual`](Self::residual) evaluation
@@ -210,7 +310,9 @@ impl<'m> Discretization<'m> {
     /// read, one 24-byte normal, and two read-modify-write residual
     /// updates; plus one streaming write to zero `res`.  A lower bound in
     /// the spirit of the paper's Eq. 1 edge-loop traffic model (gather
-    /// locality decides how far reality sits above it).
+    /// locality decides how far reality sits above it).  It models the
+    /// edge loop's state traffic: the vertex pass's record buffer, which
+    /// the edge loop gathers from instead, is not counted.
     pub fn residual_traffic_bytes(&self) -> f64 {
         let ncomp = self.ncomp() as f64;
         let nedges = self.mesh.nedges() as f64;
@@ -219,54 +321,31 @@ impl<'m> Discretization<'m> {
     }
 
     /// Rusanov flux accumulation over a range of interior edges — the
-    /// kernel of Table 1 / Figure 3.  Contributions are *added* to `res`.
+    /// kernel of Table 1 / Figure 3.  First order reads the vertex states;
+    /// second order reconstructs each edge's endpoint states from `q` and
+    /// `grads`.  Contributions are *added* to `res`.
     fn flux_pass(
         &self,
+        states: &VertexStates,
         q: &FieldVec,
         grads: Option<&Gradients>,
-        limited: bool,
         res: &mut FieldVec,
-        range: std::ops::Range<usize>,
+        range: Range<usize>,
     ) {
-        let ncomp = self.ncomp();
-        let normals = self.mesh.edge_normals();
-        let coords = self.mesh.coords();
-        let edges = self.mesh.edges();
-        for e in range {
-            let [a, b] = edges[e];
-            let (a, b) = (a as usize, b as usize);
-            let n = normals[e];
-            let qa = q.get(a);
-            let qb = q.get(b);
-            let (ql, qr) = if let Some(g) = grads {
-                let r_ab = [
-                    coords[b][0] - coords[a][0],
-                    coords[b][1] - coords[a][1],
-                    coords[b][2] - coords[a][2],
-                ];
-                reconstruct_edge(g, a, b, r_ab, &qa, &qb, ncomp, limited)
-            } else {
-                (qa, qb)
-            };
-            let f = self.rusanov(&ql, &qr, n);
-            let mut fneg = [0.0; MAX_COMP];
-            for c in 0..ncomp {
-                fneg[c] = -f[c];
+        let limited = matches!(self.order, SpatialOrder::SecondLimited);
+        let res = res.as_mut_slice();
+        dispatch!(self, |s: P, L| {
+            let k = Kernel::<P, L>::new(s, self, states);
+            match grads {
+                None => k.edge_fluxes(res, range),
+                Some(g) => k.reconstructed_edge_fluxes(q, g, limited, res, range),
             }
-            res.add(a, &f);
-            res.add(b, &fneg);
-        }
+        })
     }
 
     /// Viscous (edge-based diffusion) term on the momentum components, over
     /// a range of edges.
-    fn viscous_pass(
-        &self,
-        mu: f64,
-        q: &FieldVec,
-        res: &mut FieldVec,
-        range: std::ops::Range<usize>,
-    ) {
+    fn viscous_pass(&self, mu: f64, q: &FieldVec, res: &mut FieldVec, range: Range<usize>) {
         let normals = self.mesh.edge_normals();
         let coords = self.mesh.coords();
         let edges = self.mesh.edges();
@@ -299,20 +378,10 @@ impl<'m> Discretization<'m> {
 
     /// Boundary-face fluxes (always sequential: the face count is small and
     /// faces of one vertex may repeat).
-    fn boundary_pass(&self, q: &FieldVec, res: &mut FieldVec) {
-        for face in self.mesh.boundary_faces() {
-            let n3 = [
-                face.normal[0] / 3.0,
-                face.normal[1] / 3.0,
-                face.normal[2] / 3.0,
-            ];
-            for &v in &face.verts {
-                let v = v as usize;
-                let qv = q.get(v);
-                let f = self.boundary_flux(face.kind, &qv, n3);
-                res.add(v, &f);
-            }
-        }
+    fn boundary_pass(&self, states: &VertexStates, res: &mut FieldVec) {
+        let res = res.as_mut_slice();
+        dispatch!(self, |s: P, L| Kernel::<P, L>::new(s, self, states)
+            .boundary_fluxes(res))
     }
 
     /// Integrated pressure force over the solid (wall) boundary — the
@@ -336,67 +405,20 @@ impl<'m> Discretization<'m> {
 
     /// First-order flux accumulation over a *range* of edges only, with no
     /// boundary terms — the kernel Table 5 parallelizes across threads
-    /// (OpenMP analogue) or subdomain processes.  `res` must be zeroed (or
-    /// hold a partial sum) on entry; contributions are added.
+    /// (OpenMP analogue) or subdomain processes.  `states` comes from one
+    /// [`vertex_states`](Self::vertex_states) call per flux evaluation,
+    /// shared by all its ranges.  `res` must be zeroed (or hold a partial
+    /// sum) on entry; contributions are added.
     pub fn edge_flux_residual(
         &self,
-        q: &FieldVec,
+        states: &VertexStates,
         res: &mut FieldVec,
-        range: std::ops::Range<usize>,
+        range: Range<usize>,
     ) {
         assert!(range.end <= self.mesh.nedges());
-        let ncomp = self.ncomp();
-        let normals = self.mesh.edge_normals();
-        let edges = self.mesh.edges();
-        for e in range {
-            let [a, b] = edges[e];
-            let (a, b) = (a as usize, b as usize);
-            let n = normals[e];
-            let qa = q.get(a);
-            let qb = q.get(b);
-            let f = self.rusanov(&qa, &qb, n);
-            let mut fneg = [0.0; MAX_COMP];
-            for c in 0..ncomp {
-                fneg[c] = -f[c];
-            }
-            res.add(a, &f);
-            res.add(b, &fneg);
-        }
-    }
-
-    /// Rusanov numerical flux between reconstructed states.
-    #[inline]
-    fn rusanov(&self, ql: &Comp, qr: &Comp, n: [f64; 3]) -> Comp {
-        let ncomp = self.ncomp();
-        let fl = self.model.flux(ql, n);
-        let fr = self.model.flux(qr, n);
-        let lam = self
-            .model
-            .max_wavespeed(ql, n)
-            .max(self.model.max_wavespeed(qr, n));
-        let mut f = [0.0; MAX_COMP];
-        for c in 0..ncomp {
-            f[c] = 0.5 * (fl[c] + fr[c]) - 0.5 * lam * (qr[c] - ql[c]);
-        }
-        f
-    }
-
-    /// Boundary flux through a (share of a) face normal.
-    #[inline]
-    fn boundary_flux(&self, kind: BoundaryKind, q: &Comp, n: [f64; 3]) -> Comp {
-        match kind {
-            BoundaryKind::Wall => {
-                // Slip wall: no through-flow; only the pressure force.
-                let p = self.model.pressure(q);
-                let mut f = [0.0; MAX_COMP];
-                f[1] = p * n[0];
-                f[2] = p * n[1];
-                f[3] = p * n[2];
-                f
-            }
-            BoundaryKind::Inflow => self.rusanov(q, &self.freestream, n),
-            BoundaryKind::Outflow => self.model.flux(q, n),
-        }
+        let res = res.as_mut_slice();
+        dispatch!(self, |s: P, L| Kernel::<P, L>::new(s, self, states)
+            .edge_fluxes(res, range))
     }
 
     /// Global L2 norm of a residual field.
@@ -426,29 +448,10 @@ impl<'m> Discretization<'m> {
     /// Per-vertex sums of face wave speeds at state `q` — the denominator of
     /// the local pseudo-timestep `dtau_i = CFL * V_i / sum lambda`.
     pub fn wavespeed_sums(&self, q: &FieldVec) -> Vec<f64> {
-        let mut sums = vec![0.0; self.mesh.nverts()];
-        let normals = self.mesh.edge_normals();
-        for (e, &[a, b]) in self.mesh.edges().iter().enumerate() {
-            let (a, b) = (a as usize, b as usize);
-            let lam = self
-                .model
-                .max_wavespeed(&q.get(a), normals[e])
-                .max(self.model.max_wavespeed(&q.get(b), normals[e]));
-            sums[a] += lam;
-            sums[b] += lam;
-        }
-        for face in self.mesh.boundary_faces() {
-            let n3 = [
-                face.normal[0] / 3.0,
-                face.normal[1] / 3.0,
-                face.normal[2] / 3.0,
-            ];
-            for &v in &face.verts {
-                let v = v as usize;
-                sums[v] += self.model.max_wavespeed(&q.get(v), n3);
-            }
-        }
-        sums
+        let mut buf = self.record_buffer();
+        let states = self.fill_states(q, &mut buf);
+        dispatch!(self, |s: P, L| Kernel::<P, L>::new(s, self, &states)
+            .wavespeed_sums())
     }
 
     /// Assemble the first-order analytic Jacobian `dR/dq` at `q` (Rusanov
@@ -466,125 +469,18 @@ impl<'m> Discretization<'m> {
         let pat = self
             .jacobian_pattern
             .get_or_init(|| JacobianPattern::new(self.mesh, self.ncomp(), self.layout));
-        let ncomp = self.ncomp();
-        let n_unknowns = self.nunknowns();
+        let mut buf = self.record_buffer();
+        let states = self.fill_states(q, &mut buf);
         let mut vals = vec![0.0; pat.col_idx.len()];
-        // Adds `sign * (a + extra_diag I)` into the block at `offset` in the
-        // rows of vertex `v`.
-        let mut add_block = |v: usize, offset: usize, sign: f64, a: &[f64], extra_diag: f64| {
-            for r in 0..ncomp {
-                for c in 0..ncomp {
-                    let mut val = a[r * MAX_COMP + c];
-                    if r == c {
-                        val += extra_diag;
-                    }
-                    vals[pat.slot(v, offset, r, c)] += sign * val;
-                }
+        dispatch!(self, |s: P, L| {
+            let k = Kernel::<P, L>::new(s, self, &states);
+            k.jacobian_edges(pat, &mut vals);
+            if let Some(mu) = self.viscosity {
+                self.viscous_jacobian(mu, pat, &mut vals);
             }
-        };
-        let half = 0.5;
-        let normals = self.mesh.edge_normals();
-        for (e, &[a, b]) in self.mesh.edges().iter().enumerate() {
-            let (a, b) = (a as usize, b as usize);
-            let n = normals[e];
-            let qa = q.get(a);
-            let qb = q.get(b);
-            let lam = self
-                .model
-                .max_wavespeed(&qa, n)
-                .max(self.model.max_wavespeed(&qb, n));
-            let ja = self.model.flux_jacobian(&qa, n);
-            let jb = self.model.flux_jacobian(&qb, n);
-            // dF/dqa = A(qa)/2 + lam/2 I ; dF/dqb = A(qb)/2 - lam/2 I.
-            let scaled = |m: &[f64; MAX_COMP * MAX_COMP]| -> [f64; MAX_COMP * MAX_COMP] {
-                let mut s = *m;
-                for v in s.iter_mut() {
-                    *v *= half;
-                }
-                s
-            };
-            let ja2 = scaled(&ja);
-            let jb2 = scaled(&jb);
-            let [aa, ab, ba, bb] = pat.edge_blocks[e];
-            // R_a += F  => rows of a.
-            add_block(a, aa, 1.0, &ja2, half * lam);
-            add_block(a, ab, 1.0, &jb2, -half * lam);
-            // R_b -= F  => rows of b.
-            add_block(b, ba, -1.0, &ja2, half * lam);
-            add_block(b, bb, -1.0, &jb2, -half * lam);
-        }
-        // Viscous term: exact (linear) Jacobian entries on momentum rows.
-        if let Some(mu) = self.viscosity {
-            let coords = self.mesh.coords();
-            for (e, &[a, b]) in self.mesh.edges().iter().enumerate() {
-                let (a, b) = (a as usize, b as usize);
-                let n = normals[e];
-                let area = (n[0] * n[0] + n[1] * n[1] + n[2] * n[2]).sqrt();
-                let dx = [
-                    coords[b][0] - coords[a][0],
-                    coords[b][1] - coords[a][1],
-                    coords[b][2] - coords[a][2],
-                ];
-                let dist = (dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2]).sqrt();
-                let kappa = mu * area / dist;
-                let [aa, ab, ba, bb] = pat.edge_blocks[e];
-                for c in 1..4 {
-                    vals[pat.slot(a, aa, c, c)] += kappa;
-                    vals[pat.slot(a, ab, c, c)] -= kappa;
-                    vals[pat.slot(b, bb, c, c)] += kappa;
-                    vals[pat.slot(b, ba, c, c)] -= kappa;
-                }
-            }
-        }
-        // Boundary contributions, all on diagonal blocks.
-        for face in self.mesh.boundary_faces() {
-            let n3 = [
-                face.normal[0] / 3.0,
-                face.normal[1] / 3.0,
-                face.normal[2] / 3.0,
-            ];
-            for &v in &face.verts {
-                let v = v as usize;
-                let qv = q.get(v);
-                let diag = pat.diag_blocks[v];
-                match face.kind {
-                    BoundaryKind::Wall => {
-                        // d(p n)/dq: rank-one n (x) dp/dq on momentum rows.
-                        let dp = self.pressure_gradient(&qv);
-                        for r in 1..4usize {
-                            for c in 0..ncomp {
-                                vals[pat.slot(v, diag, r, c)] += n3[r - 1] * dp[c];
-                            }
-                        }
-                    }
-                    BoundaryKind::Inflow => {
-                        // d Rusanov(q, qinf)/dq = A(q)/2 + lam/2 I (frozen).
-                        let lam = self
-                            .model
-                            .max_wavespeed(&qv, n3)
-                            .max(self.model.max_wavespeed(&self.freestream, n3));
-                        let a = self.model.flux_jacobian(&qv, n3);
-                        for r in 0..ncomp {
-                            for c in 0..ncomp {
-                                let mut val = 0.5 * a[r * MAX_COMP + c];
-                                if r == c {
-                                    val += 0.5 * lam;
-                                }
-                                vals[pat.slot(v, diag, r, c)] += val;
-                            }
-                        }
-                    }
-                    BoundaryKind::Outflow => {
-                        let a = self.model.flux_jacobian(&qv, n3);
-                        for r in 0..ncomp {
-                            for c in 0..ncomp {
-                                vals[pat.slot(v, diag, r, c)] += a[r * MAX_COMP + c];
-                            }
-                        }
-                    }
-                }
-            }
-        }
+            k.jacobian_boundary(pat, &mut vals);
+        });
+        let n_unknowns = self.nunknowns();
         CsrMatrix::from_raw(
             n_unknowns,
             n_unknowns,
@@ -594,25 +490,28 @@ impl<'m> Discretization<'m> {
         )
     }
 
-    /// `dp/dq` for the wall-flux Jacobian.
-    fn pressure_gradient(&self, q: &Comp) -> Comp {
-        match self.model {
-            FlowModel::Incompressible { .. } => {
-                let mut d = [0.0; MAX_COMP];
-                d[0] = 1.0;
-                d
-            }
-            FlowModel::Compressible { gamma } => {
-                let g1 = gamma - 1.0;
-                let rho = q[0];
-                let (u, v, w) = (q[1] / rho, q[2] / rho, q[3] / rho);
-                [
-                    0.5 * g1 * (u * u + v * v + w * w),
-                    -g1 * u,
-                    -g1 * v,
-                    -g1 * w,
-                    g1,
-                ]
+    /// Viscous term of the Jacobian: exact (linear) entries on momentum
+    /// rows.
+    fn viscous_jacobian(&self, mu: f64, pat: &JacobianPattern, vals: &mut [f64]) {
+        let normals = self.mesh.edge_normals();
+        let coords = self.mesh.coords();
+        for (e, &[a, b]) in self.mesh.edges().iter().enumerate() {
+            let (a, b) = (a as usize, b as usize);
+            let n = normals[e];
+            let area = (n[0] * n[0] + n[1] * n[1] + n[2] * n[2]).sqrt();
+            let dx = [
+                coords[b][0] - coords[a][0],
+                coords[b][1] - coords[a][1],
+                coords[b][2] - coords[a][2],
+            ];
+            let dist = (dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2]).sqrt();
+            let kappa = mu * area / dist;
+            let [aa, ab, ba, bb] = pat.edge_blocks[e];
+            for c in 1..4 {
+                vals[pat.slot(a, aa, c, c)] += kappa;
+                vals[pat.slot(a, ab, c, c)] -= kappa;
+                vals[pat.slot(b, bb, c, c)] += kappa;
+                vals[pat.slot(b, ba, c, c)] -= kappa;
             }
         }
     }
@@ -640,6 +539,219 @@ impl<'m> Discretization<'m> {
             SpatialOrder::Second | SpatialOrder::SecondLimited => 2.0,
         };
         order_factor * per_edge * self.mesh.nedges() as f64
+    }
+}
+
+/// The flux kernels of one flow model `P` on one field layout `L`, over the
+/// vertex states of one evaluation.  Every loop keeps the order of the
+/// additions into its output, so results do not depend on the split.
+struct Kernel<'a, P: FluxSplit, L: Layout> {
+    split: P,
+    mesh: &'a TetMesh,
+    nv: usize,
+    records: &'a [f64],
+    freestream: P::Rec,
+    layout: PhantomData<L>,
+}
+
+impl<'a, P: FluxSplit, L: Layout> Kernel<'a, P, L> {
+    fn new(split: P, disc: &Discretization<'a>, states: &VertexStates<'a>) -> Self {
+        Self {
+            split,
+            mesh: disc.mesh,
+            nv: disc.mesh.nverts(),
+            records: states.records,
+            freestream: split.record(&disc.freestream),
+            layout: PhantomData,
+        }
+    }
+
+    #[inline(always)]
+    fn record(&self, v: usize) -> P::Rec {
+        P::Rec::load::<L>(self.records, self.nv, v)
+    }
+
+    /// The boundary faces with their per-vertex normal shares `n_f / 3`.
+    fn boundary_faces(&self) -> impl Iterator<Item = (BoundaryKind, [u32; 3], [f64; 3])> + 'a {
+        self.mesh.boundary_faces().iter().map(|face| {
+            let n3 = [
+                face.normal[0] / 3.0,
+                face.normal[1] / 3.0,
+                face.normal[2] / 3.0,
+            ];
+            (face.kind, face.verts, n3)
+        })
+    }
+
+    /// First-order Rusanov fluxes of the edges in `range`, added to `res`.
+    fn edge_fluxes(&self, res: &mut [f64], range: Range<usize>) {
+        let (edges, normals) = (self.mesh.edges(), self.mesh.edge_normals());
+        for e in range {
+            let [a, b] = edges[e];
+            let (a, b) = (a as usize, b as usize);
+            let f = self
+                .split
+                .rusanov(&self.record(a), &self.record(b), normals[e]);
+            L::add(res, self.nv, P::NCOMP, a, &f);
+            L::sub(res, self.nv, P::NCOMP, b, &f);
+        }
+    }
+
+    /// Second-order fluxes of the edges in `range`: MUSCL-reconstructed
+    /// endpoint states, each turned into a record on the spot.
+    fn reconstructed_edge_fluxes(
+        &self,
+        q: &FieldVec,
+        grads: &Gradients,
+        limited: bool,
+        res: &mut [f64],
+        range: Range<usize>,
+    ) {
+        let (edges, normals) = (self.mesh.edges(), self.mesh.edge_normals());
+        let coords = self.mesh.coords();
+        for e in range {
+            let [a, b] = edges[e];
+            let (a, b) = (a as usize, b as usize);
+            let r_ab = [
+                coords[b][0] - coords[a][0],
+                coords[b][1] - coords[a][1],
+                coords[b][2] - coords[a][2],
+            ];
+            let (ql, qr) =
+                reconstruct_edge(grads, a, b, r_ab, &q.get(a), &q.get(b), P::NCOMP, limited);
+            let f =
+                self.split
+                    .rusanov(&self.split.record(&ql), &self.split.record(&qr), normals[e]);
+            L::add(res, self.nv, P::NCOMP, a, &f);
+            L::sub(res, self.nv, P::NCOMP, b, &f);
+        }
+    }
+
+    /// Boundary-face fluxes, added to `res`.
+    fn boundary_fluxes(&self, res: &mut [f64]) {
+        for (kind, verts, n3) in self.boundary_faces() {
+            for v in verts {
+                let v = v as usize;
+                let r = self.record(v);
+                let f = match kind {
+                    BoundaryKind::Wall => {
+                        // Slip wall: no through-flow; only the pressure force.
+                        let p = self.split.pressure(&r);
+                        [0.0, p * n3[0], p * n3[1], p * n3[2], 0.0]
+                    }
+                    BoundaryKind::Inflow => self.split.rusanov(&r, &self.freestream, n3),
+                    BoundaryKind::Outflow => self.split.flux(&r, n3),
+                };
+                L::add(res, self.nv, P::NCOMP, v, &f);
+            }
+        }
+    }
+
+    /// Per-vertex sums of face wave speeds.
+    fn wavespeed_sums(&self) -> Vec<f64> {
+        let mut sums = vec![0.0; self.nv];
+        let normals = self.mesh.edge_normals();
+        for (e, &[a, b]) in self.mesh.edges().iter().enumerate() {
+            let (a, b) = (a as usize, b as usize);
+            let n = normals[e];
+            let lam = self
+                .split
+                .wavespeed(&self.record(a), n)
+                .max(self.split.wavespeed(&self.record(b), n));
+            sums[a] += lam;
+            sums[b] += lam;
+        }
+        for (_, verts, n3) in self.boundary_faces() {
+            for v in verts {
+                let v = v as usize;
+                sums[v] += self.split.wavespeed(&self.record(v), n3);
+            }
+        }
+        sums
+    }
+
+    /// The edges' Rusanov Jacobian blocks (frozen dissipation coefficient),
+    /// added into `vals`.
+    fn jacobian_edges(&self, pat: &JacobianPattern, vals: &mut [f64]) {
+        let normals = self.mesh.edge_normals();
+        for (e, &[a, b]) in self.mesh.edges().iter().enumerate() {
+            let (a, b) = (a as usize, b as usize);
+            let n = normals[e];
+            let (ra, rb) = (self.record(a), self.record(b));
+            let lam = self
+                .split
+                .wavespeed(&ra, n)
+                .max(self.split.wavespeed(&rb, n));
+            // dF/dqa = A(qa)/2 + lam/2 I ; dF/dqb = A(qb)/2 - lam/2 I.
+            let ja = self.split.flux_jacobian(&ra, n);
+            let jb = self.split.flux_jacobian(&rb, n);
+            let [aa, ab, ba, bb] = pat.edge_blocks[e];
+            // R_a += F  => rows of a; R_b -= F  => rows of b.
+            for (v, offset, sign, jac, extra_diag) in [
+                (a, aa, 1.0, &ja, 0.5 * lam),
+                (a, ab, 1.0, &jb, -0.5 * lam),
+                (b, ba, -1.0, &ja, 0.5 * lam),
+                (b, bb, -1.0, &jb, -0.5 * lam),
+            ] {
+                for r in 0..P::NCOMP {
+                    for c in 0..P::NCOMP {
+                        let mut val = jac[r * MAX_COMP + c] * 0.5;
+                        if r == c {
+                            val += extra_diag;
+                        }
+                        vals[pat.slot(v, offset, r, c)] += sign * val;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The boundary faces' Jacobian contributions, all on diagonal blocks,
+    /// added into `vals`.
+    fn jacobian_boundary(&self, pat: &JacobianPattern, vals: &mut [f64]) {
+        for (kind, verts, n3) in self.boundary_faces() {
+            for v in verts {
+                let v = v as usize;
+                let rec = self.record(v);
+                let diag = pat.diag_blocks[v];
+                match kind {
+                    BoundaryKind::Wall => {
+                        // d(p n)/dq: rank-one n (x) dp/dq on momentum rows.
+                        let dp = self.split.pressure_gradient(&rec);
+                        for r in 1..4usize {
+                            for c in 0..P::NCOMP {
+                                vals[pat.slot(v, diag, r, c)] += n3[r - 1] * dp[c];
+                            }
+                        }
+                    }
+                    BoundaryKind::Inflow => {
+                        // d Rusanov(q, qinf)/dq = A(q)/2 + lam/2 I (frozen).
+                        let lam = self
+                            .split
+                            .wavespeed(&rec, n3)
+                            .max(self.split.wavespeed(&self.freestream, n3));
+                        let a = self.split.flux_jacobian(&rec, n3);
+                        for r in 0..P::NCOMP {
+                            for c in 0..P::NCOMP {
+                                let mut val = 0.5 * a[r * MAX_COMP + c];
+                                if r == c {
+                                    val += 0.5 * lam;
+                                }
+                                vals[pat.slot(v, diag, r, c)] += val;
+                            }
+                        }
+                    }
+                    BoundaryKind::Outflow => {
+                        let a = self.split.flux_jacobian(&rec, n3);
+                        for r in 0..P::NCOMP {
+                            for c in 0..P::NCOMP {
+                                vals[pat.slot(v, diag, r, c)] += a[r * MAX_COMP + c];
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -764,8 +876,13 @@ impl JacobianPattern {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::CompMat;
     use fun3d_mesh::generator::BumpChannelSpec;
+    use fun3d_mesh::reorder::{edge_order, vertex_permutation, EdgeOrdering, VertexOrdering};
     use fun3d_sparse::triplet::TripletMatrix;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn flat_channel(dims: (usize, usize, usize)) -> TetMesh {
         let mut spec = BumpChannelSpec::with_dims(dims.0, dims.1, dims.2);
@@ -874,7 +991,7 @@ mod tests {
                 match face.kind {
                     BoundaryKind::Wall => {
                         // d(p n)/dq: rank-one n (x) dp/dq on momentum rows.
-                        let dp = disc.pressure_gradient(&qv);
+                        let dp = reference::pressure_gradient(&disc.model, &qv);
                         for r in 1..4usize {
                             for c in 0..ncomp {
                                 t.push(idx(v, r), idx(v, c), n3[r - 1] * dp[c]);
@@ -916,6 +1033,441 @@ mod tests {
             }
         }
         t.to_csr()
+    }
+
+    /// The formulas and per-edge loops the vertex/face split replaced, kept
+    /// as bitwise references for the kernels and the [`FlowModel`]
+    /// wrappers: every flux and wave speed re-derives its vertex's
+    /// quantities, and every call matches on model and layout.
+    mod reference {
+        use super::*;
+
+        pub fn flux(model: &FlowModel, q: &Comp, n: [f64; 3]) -> Comp {
+            let mut f = [0.0; MAX_COMP];
+            match *model {
+                FlowModel::Incompressible { beta } => {
+                    let (p, u, v, w) = (q[0], q[1], q[2], q[3]);
+                    let theta = u * n[0] + v * n[1] + w * n[2];
+                    f[0] = beta * theta;
+                    f[1] = u * theta + p * n[0];
+                    f[2] = v * theta + p * n[1];
+                    f[3] = w * theta + p * n[2];
+                }
+                FlowModel::Compressible { gamma } => {
+                    let rho = q[0];
+                    let inv_rho = 1.0 / rho;
+                    let (u, v, w) = (q[1] * inv_rho, q[2] * inv_rho, q[3] * inv_rho);
+                    let e = q[4];
+                    let p = (gamma - 1.0) * (e - 0.5 * rho * (u * u + v * v + w * w));
+                    let theta = u * n[0] + v * n[1] + w * n[2];
+                    f[0] = rho * theta;
+                    f[1] = q[1] * theta + p * n[0];
+                    f[2] = q[2] * theta + p * n[1];
+                    f[3] = q[3] * theta + p * n[2];
+                    f[4] = (e + p) * theta;
+                }
+            }
+            f
+        }
+
+        pub fn pressure(model: &FlowModel, q: &Comp) -> f64 {
+            match *model {
+                FlowModel::Incompressible { .. } => q[0],
+                FlowModel::Compressible { gamma } => {
+                    let rho = q[0];
+                    let ke = 0.5 * (q[1] * q[1] + q[2] * q[2] + q[3] * q[3]) / rho;
+                    (gamma - 1.0) * (q[4] - ke)
+                }
+            }
+        }
+
+        pub fn max_wavespeed(model: &FlowModel, q: &Comp, n: [f64; 3]) -> f64 {
+            let area2 = n[0] * n[0] + n[1] * n[1] + n[2] * n[2];
+            match *model {
+                FlowModel::Incompressible { beta } => {
+                    let theta = q[1] * n[0] + q[2] * n[1] + q[3] * n[2];
+                    theta.abs() + (theta * theta + beta * area2).sqrt()
+                }
+                FlowModel::Compressible { gamma } => {
+                    let inv_rho = 1.0 / q[0];
+                    let theta = (q[1] * n[0] + q[2] * n[1] + q[3] * n[2]) * inv_rho;
+                    let p = pressure(model, q);
+                    let c = (gamma * p * inv_rho).max(0.0).sqrt();
+                    theta.abs() + c * area2.sqrt()
+                }
+            }
+        }
+
+        pub fn flux_jacobian(model: &FlowModel, q: &Comp, n: [f64; 3]) -> CompMat {
+            let mut a = [0.0; MAX_COMP * MAX_COMP];
+            let m = MAX_COMP;
+            match *model {
+                FlowModel::Incompressible { beta } => {
+                    let (u, v, w) = (q[1], q[2], q[3]);
+                    let theta = u * n[0] + v * n[1] + w * n[2];
+                    a[1] = beta * n[0];
+                    a[2] = beta * n[1];
+                    a[3] = beta * n[2];
+                    a[m] = n[0];
+                    a[m + 1] = theta + u * n[0];
+                    a[m + 2] = u * n[1];
+                    a[m + 3] = u * n[2];
+                    a[2 * m] = n[1];
+                    a[2 * m + 1] = v * n[0];
+                    a[2 * m + 2] = theta + v * n[1];
+                    a[2 * m + 3] = v * n[2];
+                    a[3 * m] = n[2];
+                    a[3 * m + 1] = w * n[0];
+                    a[3 * m + 2] = w * n[1];
+                    a[3 * m + 3] = theta + w * n[2];
+                }
+                FlowModel::Compressible { gamma } => {
+                    let g1 = gamma - 1.0;
+                    let rho = q[0];
+                    let inv_rho = 1.0 / rho;
+                    let (u, v, w) = (q[1] * inv_rho, q[2] * inv_rho, q[3] * inv_rho);
+                    let e = q[4];
+                    let q2 = u * u + v * v + w * w;
+                    let phi2 = 0.5 * g1 * q2;
+                    let theta = u * n[0] + v * n[1] + w * n[2];
+                    let p = g1 * (e - 0.5 * rho * q2);
+                    let h = (e + p) * inv_rho;
+                    let vel = [u, v, w];
+                    a[1] = n[0];
+                    a[2] = n[1];
+                    a[3] = n[2];
+                    for i in 0..3 {
+                        let r = (i + 1) * m;
+                        a[r] = phi2 * n[i] - vel[i] * theta;
+                        for j in 0..3 {
+                            a[r + 1 + j] = vel[i] * n[j] - g1 * vel[j] * n[i]
+                                + if i == j { theta } else { 0.0 };
+                        }
+                        a[r + 4] = g1 * n[i];
+                    }
+                    let r = 4 * m;
+                    a[r] = (phi2 - h) * theta;
+                    for j in 0..3 {
+                        a[r + 1 + j] = h * n[j] - g1 * vel[j] * theta;
+                    }
+                    a[r + 4] = gamma * theta;
+                }
+            }
+            a
+        }
+
+        pub fn pressure_gradient(model: &FlowModel, q: &Comp) -> Comp {
+            match *model {
+                FlowModel::Incompressible { .. } => {
+                    let mut d = [0.0; MAX_COMP];
+                    d[0] = 1.0;
+                    d
+                }
+                FlowModel::Compressible { gamma } => {
+                    let g1 = gamma - 1.0;
+                    let rho = q[0];
+                    let (u, v, w) = (q[1] / rho, q[2] / rho, q[3] / rho);
+                    [
+                        0.5 * g1 * (u * u + v * v + w * w),
+                        -g1 * u,
+                        -g1 * v,
+                        -g1 * w,
+                        g1,
+                    ]
+                }
+            }
+        }
+
+        fn rusanov(model: &FlowModel, ql: &Comp, qr: &Comp, n: [f64; 3]) -> Comp {
+            let fl = flux(model, ql, n);
+            let fr = flux(model, qr, n);
+            let lam = max_wavespeed(model, ql, n).max(max_wavespeed(model, qr, n));
+            let mut f = [0.0; MAX_COMP];
+            for c in 0..model.ncomp() {
+                f[c] = 0.5 * (fl[c] + fr[c]) - 0.5 * lam * (qr[c] - ql[c]);
+            }
+            f
+        }
+
+        fn boundary_flux(disc: &Discretization, kind: BoundaryKind, q: &Comp, n: [f64; 3]) -> Comp {
+            match kind {
+                BoundaryKind::Wall => {
+                    let p = pressure(&disc.model, q);
+                    let mut f = [0.0; MAX_COMP];
+                    f[1] = p * n[0];
+                    f[2] = p * n[1];
+                    f[3] = p * n[2];
+                    f
+                }
+                BoundaryKind::Inflow => rusanov(&disc.model, q, &disc.freestream, n),
+                BoundaryKind::Outflow => flux(&disc.model, q, n),
+            }
+        }
+
+        fn face_share(normal: [f64; 3]) -> [f64; 3] {
+            [normal[0] / 3.0, normal[1] / 3.0, normal[2] / 3.0]
+        }
+
+        /// The per-edge first-order flux loop over `range`.
+        pub fn edge_flux_residual(
+            disc: &Discretization,
+            q: &FieldVec,
+            res: &mut FieldVec,
+            range: Range<usize>,
+        ) {
+            let ncomp = disc.ncomp();
+            let normals = disc.mesh.edge_normals();
+            let edges = disc.mesh.edges();
+            for e in range {
+                let [a, b] = edges[e];
+                let (a, b) = (a as usize, b as usize);
+                let f = rusanov(&disc.model, &q.get(a), &q.get(b), normals[e]);
+                let mut fneg = [0.0; MAX_COMP];
+                for c in 0..ncomp {
+                    fneg[c] = -f[c];
+                }
+                res.add(a, &f);
+                res.add(b, &fneg);
+            }
+        }
+
+        /// The first-order residual: edges, viscous edges, boundary faces.
+        pub fn residual(disc: &Discretization, q: &FieldVec) -> FieldVec {
+            let mut res = FieldVec::zeros(q.nverts(), q.ncomp(), q.layout());
+            let nedges = disc.mesh.nedges();
+            edge_flux_residual(disc, q, &mut res, 0..nedges);
+            if let Some(mu) = disc.viscosity {
+                disc.viscous_pass(mu, q, &mut res, 0..nedges);
+            }
+            for face in disc.mesh.boundary_faces() {
+                let n3 = face_share(face.normal);
+                for &v in &face.verts {
+                    let v = v as usize;
+                    let f = boundary_flux(disc, face.kind, &q.get(v), n3);
+                    res.add(v, &f);
+                }
+            }
+            res
+        }
+
+        pub fn wavespeed_sums(disc: &Discretization, q: &FieldVec) -> Vec<f64> {
+            let model = &disc.model;
+            let mut sums = vec![0.0; disc.mesh.nverts()];
+            let normals = disc.mesh.edge_normals();
+            for (e, &[a, b]) in disc.mesh.edges().iter().enumerate() {
+                let (a, b) = (a as usize, b as usize);
+                let lam = max_wavespeed(model, &q.get(a), normals[e]).max(max_wavespeed(
+                    model,
+                    &q.get(b),
+                    normals[e],
+                ));
+                sums[a] += lam;
+                sums[b] += lam;
+            }
+            for face in disc.mesh.boundary_faces() {
+                let n3 = face_share(face.normal);
+                for &v in &face.verts {
+                    let v = v as usize;
+                    sums[v] += max_wavespeed(model, &q.get(v), n3);
+                }
+            }
+            sums
+        }
+
+        /// The pattern assembly's values, one `flux_jacobian` and two wave
+        /// speeds per edge.
+        pub fn jacobian_values(disc: &Discretization, q: &FieldVec) -> Vec<f64> {
+            let model = &disc.model;
+            let pat = JacobianPattern::new(disc.mesh, disc.ncomp(), disc.layout);
+            let ncomp = disc.ncomp();
+            let mut vals = vec![0.0; pat.col_idx.len()];
+            let add_block =
+                |vals: &mut [f64], v: usize, offset: usize, sign: f64, a: &[f64], extra: f64| {
+                    for r in 0..ncomp {
+                        for c in 0..ncomp {
+                            let mut val = a[r * MAX_COMP + c];
+                            if r == c {
+                                val += extra;
+                            }
+                            vals[pat.slot(v, offset, r, c)] += sign * val;
+                        }
+                    }
+                };
+            let half = 0.5;
+            let normals = disc.mesh.edge_normals();
+            for (e, &[a, b]) in disc.mesh.edges().iter().enumerate() {
+                let (a, b) = (a as usize, b as usize);
+                let n = normals[e];
+                let (qa, qb) = (q.get(a), q.get(b));
+                let lam = max_wavespeed(model, &qa, n).max(max_wavespeed(model, &qb, n));
+                let mut ja2 = flux_jacobian(model, &qa, n);
+                let mut jb2 = flux_jacobian(model, &qb, n);
+                ja2.iter_mut().for_each(|v| *v *= half);
+                jb2.iter_mut().for_each(|v| *v *= half);
+                let [aa, ab, ba, bb] = pat.edge_blocks[e];
+                add_block(&mut vals, a, aa, 1.0, &ja2, half * lam);
+                add_block(&mut vals, a, ab, 1.0, &jb2, -half * lam);
+                add_block(&mut vals, b, ba, -1.0, &ja2, half * lam);
+                add_block(&mut vals, b, bb, -1.0, &jb2, -half * lam);
+            }
+            if let Some(mu) = disc.viscosity {
+                disc.viscous_jacobian(mu, &pat, &mut vals);
+            }
+            for face in disc.mesh.boundary_faces() {
+                let n3 = face_share(face.normal);
+                for &v in &face.verts {
+                    let v = v as usize;
+                    let qv = q.get(v);
+                    let diag = pat.diag_blocks[v];
+                    match face.kind {
+                        BoundaryKind::Wall => {
+                            let dp = pressure_gradient(model, &qv);
+                            for r in 1..4usize {
+                                for c in 0..ncomp {
+                                    vals[pat.slot(v, diag, r, c)] += n3[r - 1] * dp[c];
+                                }
+                            }
+                        }
+                        BoundaryKind::Inflow => {
+                            let lam = max_wavespeed(model, &qv, n3).max(max_wavespeed(
+                                model,
+                                &disc.freestream,
+                                n3,
+                            ));
+                            let a = flux_jacobian(model, &qv, n3);
+                            for r in 0..ncomp {
+                                for c in 0..ncomp {
+                                    let mut val = 0.5 * a[r * MAX_COMP + c];
+                                    if r == c {
+                                        val += 0.5 * lam;
+                                    }
+                                    vals[pat.slot(v, diag, r, c)] += val;
+                                }
+                            }
+                        }
+                        BoundaryKind::Outflow => {
+                            let a = flux_jacobian(model, &qv, n3);
+                            for r in 0..ncomp {
+                                for c in 0..ncomp {
+                                    vals[pat.slot(v, diag, r, c)] += a[r * MAX_COMP + c];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            vals
+        }
+    }
+
+    /// The benchmark's mesh: 15x8x8 from seed 1, renumbered by reverse
+    /// Cuthill-McKee with vertex-sorted edges.
+    fn benchmark_mesh() -> TetMesh {
+        let mut spec = BumpChannelSpec::with_dims(15, 8, 8);
+        spec.seed = 1;
+        let mesh = spec.build();
+        let perm = vertex_permutation(&mesh.vertex_graph(), VertexOrdering::ReverseCuthillMcKee);
+        let mut mesh = mesh.renumber_vertices(&perm);
+        let order = edge_order(mesh.edges(), mesh.nverts(), EdgeOrdering::VertexSorted);
+        mesh.reorder_edges(&order);
+        mesh
+    }
+
+    /// Freestream plus a random smooth perturbation of every component:
+    /// `amp_c sin(k_c . x + phase_c)` with up to 10% amplitude.
+    fn smooth_perturbation(mesh: &TetMesh, model: FlowModel, rng: &mut SmallRng) -> FieldVec {
+        let ncomp = model.ncomp();
+        let waves: Vec<(f64, [f64; 3], f64)> = (0..ncomp)
+            .map(|_| {
+                let k = [
+                    rng.gen_range(-3.0..3.0),
+                    rng.gen_range(-3.0..3.0),
+                    rng.gen_range(-3.0..3.0),
+                ];
+                (rng.gen_range(0.0..0.1), k, rng.gen_range(0.0..6.3))
+            })
+            .collect();
+        let mut q = FieldVec::constant(
+            mesh.nverts(),
+            ncomp,
+            FieldLayout::Interlaced,
+            &model.freestream(),
+        );
+        for v in 0..mesh.nverts() {
+            let x = mesh.coords()[v];
+            let mut s = q.get(v);
+            for (c, &(amp, k, phase)) in waves.iter().enumerate() {
+                s[c] += amp * (k[0] * x[0] + k[1] * x[1] + k[2] * x[2] + phase).sin();
+            }
+            q.set(v, &s);
+        }
+        q
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn kernels_match_the_per_edge_reference_bitwise() {
+        let meshes = [
+            ("6x5x4", BumpChannelSpec::with_dims(6, 5, 4).build()),
+            ("15x8x8 rcm", benchmark_mesh()),
+        ];
+        let mut rng = SmallRng::seed_from_u64(0x5eed_f1c5);
+        for (name, mesh) in &meshes {
+            let nedges = mesh.nedges();
+            for trial in 0..3 {
+                for model in both_models() {
+                    let q0 = smooth_perturbation(mesh, model, &mut rng);
+                    for layout in [FieldLayout::Interlaced, FieldLayout::Segregated] {
+                        let q = q0.to_layout(layout);
+                        let case = format!("{name} trial {trial} {model:?} {layout:?}");
+                        for mu in [0.0, 0.05] {
+                            let disc =
+                                Discretization::new(mesh, model, layout, SpatialOrder::First)
+                                    .with_viscosity(mu);
+                            let want = bits(reference::residual(&disc, &q).as_slice());
+                            let mut ws = disc.workspace();
+                            let mut res = FieldVec::zeros(mesh.nverts(), model.ncomp(), layout);
+                            disc.residual(&q, &mut res, &mut ws);
+                            assert!(bits(res.as_slice()) == want, "{case} mu={mu}: residual");
+                            res.as_mut_slice().fill(f64::NAN);
+                            disc.residual_par(&q, &mut res, &mut ws, &ParCtx::new(1));
+                            assert!(bits(res.as_slice()) == want, "{case} mu={mu}: residual_par");
+                            let want = bits(&reference::jacobian_values(&disc, &q));
+                            assert!(
+                                bits(disc.jacobian(&q).values()) == want,
+                                "{case} mu={mu}: jacobian"
+                            );
+                        }
+                        let disc = Discretization::new(mesh, model, layout, SpatialOrder::First);
+                        let mut want = FieldVec::zeros(mesh.nverts(), model.ncomp(), layout);
+                        reference::edge_flux_residual(&disc, &q, &mut want, 0..nedges);
+                        let mut cuts: Vec<usize> = (0..rng.gen_range(1..6))
+                            .map(|_| rng.gen_range(0..=nedges))
+                            .collect();
+                        cuts.extend([0, nedges]);
+                        cuts.sort_unstable();
+                        let mut ws = disc.workspace();
+                        let states = disc.vertex_states(&q, &mut ws);
+                        let mut res = FieldVec::zeros(mesh.nverts(), model.ncomp(), layout);
+                        for w in cuts.windows(2) {
+                            disc.edge_flux_residual(&states, &mut res, w[0]..w[1]);
+                        }
+                        assert!(
+                            bits(res.as_slice()) == bits(want.as_slice()),
+                            "{case}: edge_flux_residual over {cuts:?}"
+                        );
+                        assert!(
+                            bits(&disc.wavespeed_sums(&q))
+                                == bits(&reference::wavespeed_sums(&disc, &q)),
+                            "{case}: wavespeed_sums"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1340,5 +1892,53 @@ mod tests {
         let d2 = Discretization::new(&mesh, model, FieldLayout::Interlaced, SpatialOrder::Second);
         assert!(d2.residual_flops() > 2.0 * d1.residual_flops());
         assert!(d2.residual_bytes() > d1.residual_bytes());
+    }
+
+    fn random_state() -> impl Strategy<Value = (FlowModel, Comp)> {
+        (
+            0usize..2,
+            (
+                0.3f64..2.0,
+                -0.8f64..0.8,
+                -0.5f64..0.5,
+                -0.5f64..0.5,
+                0.3f64..2.0,
+            ),
+        )
+            .prop_map(|(m, (a, u, v, w, p))| {
+                if m == 0 {
+                    (FlowModel::incompressible(), [a - 1.0, u, v, w, 0.0])
+                } else {
+                    let gamma = 1.4;
+                    let e = p / (gamma - 1.0) + 0.5 * a * (u * u + v * v + w * w);
+                    (FlowModel::compressible(), [a, a * u, a * v, a * w, e])
+                }
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn model_wrappers_match_the_reference_formulas_bitwise(
+            (model, q) in random_state(),
+            n in (-1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0),
+        ) {
+            let n = [n.0, n.1, n.2];
+            let case = format!("{model:?} q={q:?} n={n:?}");
+            prop_assert!(bits(&model.flux(&q, n)) == bits(&reference::flux(&model, &q, n)), "{case}: flux");
+            prop_assert!(
+                model.pressure(&q).to_bits() == reference::pressure(&model, &q).to_bits(),
+                "{case}: pressure"
+            );
+            prop_assert!(
+                model.max_wavespeed(&q, n).to_bits() == reference::max_wavespeed(&model, &q, n).to_bits(),
+                "{case}: max_wavespeed"
+            );
+            prop_assert!(
+                bits(&model.flux_jacobian(&q, n)) == bits(&reference::flux_jacobian(&model, &q, n)),
+                "{case}: flux_jacobian"
+            );
+        }
     }
 }
