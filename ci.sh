@@ -13,7 +13,7 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 run_lint() {
-    cargo clippy --workspace -- -D warnings
+    cargo clippy --workspace --all-targets -- -D warnings
     cargo fmt --check
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 }

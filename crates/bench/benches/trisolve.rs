@@ -2,6 +2,10 @@
 //! precision factor storage — the Table 2 effect on the host — and, on the
 //! same matrices, block ILU(0) on the b = 4 BCSR form (`bilu0`), the
 //! preconditioner a blocked ILU(0) solve factors, refactors and applies.
+//!
+//! The point ILU entries cover each I-node shape: interlaced incompressible
+//! rows (nodes of 4), interlaced compressible rows (`-comp`, nodes of 5) and
+//! segregated rows (`-seg`, one-row nodes).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fun3d_bench::representative_jacobian;
@@ -43,6 +47,20 @@ fn bench_trisolve(c: &mut Criterion) {
     let fb = BlockIluFactors::factor(&BcsrMatrix::from_csr(&jac, 4)).expect("factorable");
     group.throughput(Throughput::Elements((fb.nnz_blocks() * 16) as u64));
     group.bench_function("bilu0-f64", |bch| bch.iter(|| fb.solve(&b, &mut x)));
+    for (name, model, layout) in [
+        ("comp", FlowModel::compressible(), FieldLayout::Interlaced),
+        ("seg", FlowModel::incompressible(), FieldLayout::Segregated),
+    ] {
+        let jac = representative_jacobian(&mesh, model, layout, 10.0);
+        let n = jac.nrows();
+        let b: Vec<f64> = (0..n).map(|i| ((i % 19) as f64 - 9.0) / 9.0).collect();
+        let mut x = vec![0.0; n];
+        let f = IluFactors::factor(&jac, &IluOptions::with_fill(0)).expect("factorable");
+        group.throughput(Throughput::Elements(f.nnz() as u64));
+        group.bench_function(format!("ilu0-f64-{name}"), |bch| {
+            bch.iter(|| f.solve(&b, &mut x))
+        });
+    }
     group.finish();
 }
 
@@ -73,6 +91,16 @@ fn bench_factor(c: &mut Criterion) {
     let mut fb = BlockIluFactors::factor(&blocked).unwrap();
     group.bench_function("bilu0-refactor", |bch| {
         bch.iter(|| fb.refactor(&blocked).unwrap())
+    });
+    let comp = representative_jacobian(
+        &mesh,
+        FlowModel::compressible(),
+        FieldLayout::Interlaced,
+        10.0,
+    );
+    let mut fc = IluFactors::factor(&comp, &IluOptions::with_fill(0)).unwrap();
+    group.bench_function("ilu0-refactor-comp", |bch| {
+        bch.iter(|| fc.refactor(&comp).unwrap())
     });
     group.finish();
 }

@@ -310,16 +310,17 @@ impl Preconditioner for BuiltPrecond {
 /// Jacobian *pattern*).
 ///
 /// All templates are pattern-only accelerators.  The ILU templates skip the
-/// symbolic analysis (the `ILU(k)` pattern, or the block split) and level
-/// scheduling of a solve's *first* factorization only: every later rebuild,
-/// warm or cold, refactors the solve's own cached factors in place.
+/// symbolic analysis (the `ILU(k)` pattern and I-node partition, or the
+/// block split) and level scheduling of a solve's *first* factorization
+/// only: every later rebuild, warm or cold, refactors the solve's own
+/// cached factors in place.
 /// Numerics are redone with [`IluFactors::refactor`] or
 /// [`BlockIluFactors::refactor`], which run the identical elimination as a
 /// fresh factorization.  The BCSR template skips the block-structure merge
 /// (values are rewritten in full by `refill_from_csr`).  A warm solve is
 /// therefore **bitwise identical** to a cold one; templates that do not match
-/// the problem (dimension, fill level, storage, block size, nnz, block
-/// pattern) are ignored rather than trusted.
+/// the problem (dimension, fill level, storage, block size, nnz, point or
+/// block pattern) are ignored rather than trusted.
 #[derive(Debug, Clone, Default)]
 pub struct WarmStart {
     /// Symbolic `ILU(k)` template for [`PrecondSpec::Ilu`]; cloned once and
@@ -695,14 +696,11 @@ fn build_precond(
     }
     match &opts.precond {
         PrecondSpec::Ilu(ilu) => {
-            // A matching warm template skips the symbolic ILU(k) analysis:
-            // clone + refactor runs the same numeric elimination as a fresh
-            // factorization on the same pattern, so the factors are bitwise
-            // identical.
-            let template = warm
-                .ilu
-                .as_deref()
-                .filter(|t| t.is_template_for(jac.nrows(), ilu));
+            // A warm template factored from this pattern skips the symbolic
+            // ILU(k) analysis and the I-node partition: clone + refactor runs
+            // the same numeric elimination as a fresh factorization, so the
+            // factors are bitwise identical.
+            let template = warm.ilu.as_deref().filter(|t| t.is_template_for(jac, ilu));
             let factors = match template {
                 Some(t) => {
                     let mut f = t.clone();
@@ -1216,31 +1214,69 @@ mod tests {
 
     #[test]
     fn mismatched_warm_templates_are_ignored() {
-        // Wrong fill level, wrong dimension, and a BCSR template with a
-        // foreign pattern: all must fall back to the cold path, not corrupt
-        // or panic.
+        // Wrong fill level, wrong dimension, a point template with the same
+        // n, fill level and storage but a foreign pattern, and BCSR and block
+        // ILU templates with a foreign pattern: all must fall back to the
+        // cold path, not corrupt or panic.
         let p = Bratu1d::new(30, 1.0);
         let jac = p.jacobian(&vec![0.0; 30]);
         let wrong_fill = IluFactors::factor(&jac, &IluOptions::with_fill(2)).unwrap();
         let small = Bratu1d::new(20, 1.0);
-        let wrong_dim =
-            IluFactors::factor(&small.jacobian(&[0.0; 20]), &IluOptions::with_fill(0)).unwrap();
+        let wrong_dim = Arc::new(
+            IluFactors::factor(&small.jacobian(&[0.0; 20]), &IluOptions::with_fill(0)).unwrap(),
+        );
         // Diagonal-only pattern: same n and block size, different nnz.
         let eye = fun3d_sparse::csr::CsrMatrix::identity(30);
+        let foreign = |fill| {
+            Some(Arc::new(
+                IluFactors::factor(&eye, &IluOptions::with_fill(fill)).unwrap(),
+            ))
+        };
         let foreign_bcsr = BcsrMatrix::from_csr(&eye, 5);
         let foreign_block_ilu = BlockIluFactors::factor(&foreign_bcsr).unwrap();
-        let mut opts = default_opts();
-        opts.bcsr_block = Some(5);
-        for warm in [
-            WarmStart {
-                ilu: Some(Arc::new(wrong_fill)),
-                ..WarmStart::none()
-            },
-            WarmStart {
-                ilu: Some(Arc::new(wrong_dim)),
-                block_ilu: Some(Arc::new(foreign_block_ilu)),
-                bcsr: Some(Arc::new(foreign_bcsr)),
-            },
+        let point = |fill| PseudoTransientOptions {
+            precond: PrecondSpec::Ilu(IluOptions::with_fill(fill)),
+            ..default_opts()
+        };
+        let mut blocked = default_opts();
+        blocked.bcsr_block = Some(5);
+        for (opts, warm) in [
+            (
+                point(0),
+                WarmStart {
+                    ilu: Some(Arc::new(wrong_fill)),
+                    ..WarmStart::none()
+                },
+            ),
+            (
+                point(0),
+                WarmStart {
+                    ilu: Some(wrong_dim.clone()),
+                    ..WarmStart::none()
+                },
+            ),
+            (
+                point(0),
+                WarmStart {
+                    ilu: foreign(0),
+                    ..WarmStart::none()
+                },
+            ),
+            (
+                point(1),
+                WarmStart {
+                    ilu: foreign(1),
+                    ..WarmStart::none()
+                },
+            ),
+            (
+                blocked,
+                WarmStart {
+                    ilu: Some(wrong_dim),
+                    block_ilu: Some(Arc::new(foreign_block_ilu)),
+                    bcsr: Some(Arc::new(foreign_bcsr)),
+                },
+            ),
         ] {
             let mut p = Bratu1d::new(30, 1.0);
             let mut q = vec![0.0; 30];
@@ -1257,7 +1293,12 @@ mod tests {
             let mut q2 = vec![0.0; 30];
             let h2 = solve_pseudo_transient(&mut p2, &mut q2, &opts);
             assert_eq!(q, q2, "ignored template must leave results untouched");
-            assert_eq!(h.final_residual, h2.final_residual);
+            assert_eq!(h.final_residual.to_bits(), h2.final_residual.to_bits());
+            assert_eq!(h.nsteps(), h2.nsteps());
+            for (a, b) in h.steps.iter().zip(&h2.steps) {
+                assert_eq!(a.residual_norm.to_bits(), b.residual_norm.to_bits());
+                assert_eq!(a.linear_iters, b.linear_iters);
+            }
         }
     }
 

@@ -14,9 +14,51 @@
 //! The factors are held as split L / U CSR arrays with an inverted diagonal,
 //! the layout PETSc's native ILU uses so that the inner solve loops contain
 //! no divisions.
+//!
+//! # I-nodes
+//!
+//! The rows of one interlaced vertex share their column pattern.  As in
+//! PETSc's AIJ I-nodes (`MatLUFactorNumeric_SeqAIJ_Inode`,
+//! `MatSolve_SeqAIJ_Inode`), the factorization groups maximal runs of at
+//! most [`INODE_MAX`] consecutive rows whose ILU(k) column sets
+//! L ∪ {i} ∪ U are identical into one node.  A row joins a node only when
+//! its whole column set matches, so one membership mark and one list of
+//! below-node columns serve every row of the node.  The partition is found
+//! once from the symbolic pattern and kept by `refactor` and template
+//! clones.  The numeric elimination and the forward sweep then run one
+//! node at a time:
+//!
+//! * *Elimination.*  Phase 1 takes each pivot `k` below the node in
+//!   ascending order, forms every row's multiplier `w_r[k] * inv_diag[k]`,
+//!   and applies U row `k` to all the node's rows from one walk of its
+//!   columns, skipping columns outside the node's set.  Phase 2 takes the
+//!   rows in order: each applies its in-node pivots in ascending order,
+//!   then checks its pivot, sets `inv_diag` and stores its values.
+//! * *Forward sweep.*  The node's shared below-node columns feed one
+//!   accumulator per row, with one load of each column index and `x` entry.
+//!   Then each row subtracts its in-node entries in order.
+//!
+//! Every factor entry still receives its updates in ascending pivot order,
+//! and every forward-sweep row its subtractions in ascending column order,
+//! so the factors and the solves are bitwise those of the row-by-row loops.
+//! A one-row node (segregated or irregular patterns) runs exactly those
+//! loops.  Phase 1 finalizes no pivot, so a zero pivot names the same first
+//! row as the row-by-row elimination.
+//!
+//! The backward sweep keeps its row loop.  Each row of a node subtracts its
+//! in-node columns first, since they are its lowest U columns; the row above
+//! therefore needs the finished value of the row below before it can start,
+//! so the node's rows form one dependency chain.  Sharing the above-node
+//! columns across the rows would have to subtract them first, which changes
+//! the rounding.
 
 use crate::csr::CsrMatrix;
 use crate::par::{DisjointSliceMut, ParCtx};
+
+/// Most rows one I-node holds: PETSc's I-node limit, which covers the 4 and
+/// 5 unknowns per vertex of the incompressible and compressible models.
+/// Larger vertex blocks split into nodes of this size and a remainder.
+pub const INODE_MAX: usize = 5;
 
 /// Precision in which the factor *values* are stored.  Arithmetic is always
 /// performed in `f64` (values are widened on load), exactly like the paper's
@@ -177,19 +219,47 @@ pub struct IluFactors {
     /// widest level included.  Pattern-only, so `refactor` keeps them.
     l_levels: LevelSchedule,
     u_levels: LevelSchedule,
+    /// I-node partition: the first row of each node, then `n`.
+    /// Pattern-only, like the level schedules.
+    node_ptr: Vec<usize>,
+    /// One bit per factor entry, row by row (L, diagonal, U), set where the
+    /// factored matrix has the entry: the source pattern a template must
+    /// match ([`Self::matches_pattern`]).
+    source: Vec<u64>,
+}
+
+/// Factor values in `f64` plus the elimination's O(n) work arrays.
+struct Elimination {
+    l: Vec<f64>,
+    u: Vec<f64>,
+    inv_diag: Vec<f64>,
+    /// The current node's work rows, interleaved: the entry of node row `r`
+    /// in column `j` sits at `j * M + r` for a node of `M` rows.
+    w: Vec<f64>,
+    /// `mark[j] == i0` iff column `j` is in the column set of the node
+    /// starting at row `i0`.
+    mark: Vec<usize>,
 }
 
 impl IluFactors {
     /// Compute the ILU(k) factorization of a square CSR matrix.
     pub fn factor(a: &CsrMatrix, opts: &IluOptions) -> Result<Self, IluError> {
+        let mut me = Self::analyze(a, opts.fill_level);
+        me.refactor_with_storage(a, opts.storage)?;
+        Ok(me)
+    }
+
+    /// The symbolic phase of [`Self::factor`]: the ILU(k) pattern, the level
+    /// schedules, the I-node partition and `a`'s pattern, with no values.
+    fn analyze(a: &CsrMatrix, fill_level: usize) -> Self {
         assert_eq!(a.nrows(), a.ncols(), "ILU requires a square matrix");
         let n = a.nrows();
-        let (l_ptr, l_idx, u_ptr, u_idx) = symbolic_iluk(a, opts.fill_level);
+        let (l_ptr, l_idx, u_ptr, u_idx) = symbolic_iluk(a, fill_level);
         let l_levels = level_schedule(n, &l_ptr, &l_idx, false);
         let u_levels = level_schedule(n, &u_ptr, &u_idx, true);
         let mut me = Self {
             n,
-            fill_level: opts.fill_level,
+            fill_level,
             l_ptr,
             l_idx,
             u_ptr,
@@ -201,9 +271,90 @@ impl IluFactors {
             },
             l_levels,
             u_levels,
+            node_ptr: Vec::new(),
+            source: Vec::new(),
         };
-        me.refactor_with_storage(a, opts.storage)?;
-        Ok(me)
+        me.node_ptr = me.inode_partition();
+        me.source = me.source_bits(a);
+        me
+    }
+
+    /// The `source` bits of `a`, whose pattern this factorization's
+    /// pattern contains.
+    fn source_bits(&self, a: &CsrMatrix) -> Vec<u64> {
+        let mut source = vec![0u64; self.nnz().div_ceil(64)];
+        for i in 0..self.n {
+            let (base, l, u) = (self.row_base(i), self.l_row(i), self.u_row(i));
+            for &c in a.row_cols(i) {
+                let p = match (c as usize).cmp(&i) {
+                    std::cmp::Ordering::Less => l.binary_search(&c),
+                    std::cmp::Ordering::Equal => Ok(l.len()),
+                    std::cmp::Ordering::Greater => u.binary_search(&c).map(|q| l.len() + 1 + q),
+                }
+                .expect("the ILU(k) pattern contains the matrix's pattern");
+                source[(base + p) / 64] |= 1 << ((base + p) % 64);
+            }
+        }
+        source
+    }
+
+    fn l_row(&self, i: usize) -> &[u32] {
+        &self.l_idx[self.l_ptr[i]..self.l_ptr[i + 1]]
+    }
+
+    fn u_row(&self, i: usize) -> &[u32] {
+        &self.u_idx[self.u_ptr[i]..self.u_ptr[i + 1]]
+    }
+
+    /// Row `i`'s column set L ∪ {i} ∪ U, ascending.
+    fn row_set(&self, i: usize) -> impl Iterator<Item = u32> + '_ {
+        let lower = self.l_row(i).iter().copied();
+        lower.chain([i as u32]).chain(self.u_row(i).iter().copied())
+    }
+
+    /// Start rows of the I-nodes, then `n`: maximal runs of at most
+    /// [`INODE_MAX`] consecutive rows with one column set.
+    fn inode_partition(&self) -> Vec<usize> {
+        let mut ptr = vec![0];
+        for i in 1..self.n {
+            let i0 = ptr[ptr.len() - 1];
+            if i - i0 == INODE_MAX || !self.row_set(i).eq(self.row_set(i0)) {
+                ptr.push(i);
+            }
+        }
+        if self.n > 0 {
+            ptr.push(self.n);
+        }
+        ptr
+    }
+
+    /// Index of row `i`'s first entry among all factor entries, counted row
+    /// by row as L, diagonal, U.
+    fn row_base(&self, i: usize) -> usize {
+        self.l_ptr[i] + i + self.u_ptr[i]
+    }
+
+    /// Whether `a` has exactly the pattern this factorization was computed
+    /// from (same dimension and the same sorted columns in every row), so
+    /// that a clone refactored against `a` is bitwise a fresh factorization
+    /// of `a`.
+    pub fn matches_pattern(&self, a: &CsrMatrix) -> bool {
+        a.nrows() == self.n
+            && a.ncols() == self.n
+            && (0..self.n).all(|i| {
+                let base = self.row_base(i);
+                let kept = self
+                    .row_set(i)
+                    .enumerate()
+                    .filter(|&(p, _)| self.source[(base + p) / 64] >> ((base + p) % 64) & 1 == 1)
+                    .map(|(_, c)| c);
+                a.row_cols(i).iter().copied().eq(kept)
+            })
+    }
+
+    /// Row ranges of the I-nodes, in row order.
+    pub fn inodes(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        self.node_ptr.windows(2).map(|w| w[0]..w[1])
     }
 
     /// Recompute numeric values on the existing symbolic pattern (the paper's
@@ -217,66 +368,15 @@ impl IluFactors {
         self.refactor_with_storage(a, storage)
     }
 
+    /// Rerun the numeric elimination and store the values in `storage`.  On
+    /// a zero pivot the previous values stay in place.
     fn refactor_with_storage(
         &mut self,
         a: &CsrMatrix,
         storage: PrecStorage,
     ) -> Result<(), IluError> {
-        let n = self.n;
-        assert_eq!(a.nrows(), n, "refactor dimension mismatch");
-        let mut lvals = vec![0.0f64; self.l_idx.len()];
-        let mut uvals = vec![0.0f64; self.u_idx.len()];
-        let mut inv_diag = vec![0.0f64; n];
-
-        // Dense work row with a stamp-based membership mask.
-        let mut w = vec![0.0f64; n];
-        let mut stamp = vec![usize::MAX; n];
-
-        for i in 0..n {
-            // Scatter the pattern of row i.
-            let lr = self.l_ptr[i]..self.l_ptr[i + 1];
-            let ur = self.u_ptr[i]..self.u_ptr[i + 1];
-            for &j in self.l_idx[lr.clone()].iter().chain(&self.u_idx[ur.clone()]) {
-                stamp[j as usize] = i;
-                w[j as usize] = 0.0;
-            }
-            stamp[i] = i;
-            w[i] = 0.0;
-            // Scatter A's row i (entries outside the pattern cannot exist:
-            // the symbolic pattern contains A's pattern).
-            for (&c, &v) in a.row_cols(i).iter().zip(a.row_vals(i)) {
-                w[c as usize] = v;
-            }
-            // Eliminate using previously factored rows, ascending column order
-            // (l_idx rows are sorted by construction).
-            for &k in &self.l_idx[lr.clone()] {
-                let k = k as usize;
-                let lik = w[k] * inv_diag[k];
-                w[k] = lik;
-                // Update against U row k, dropping fill outside the pattern.
-                let uk = self.u_ptr[k]..self.u_ptr[k + 1];
-                for (&j, &ukj) in self.u_idx[uk.clone()].iter().zip(&uvals[uk]) {
-                    let j = j as usize;
-                    if stamp[j] == i {
-                        w[j] -= lik * ukj;
-                    }
-                }
-            }
-            let piv = w[i];
-            // Negated on purpose: a NaN pivot must also take the error path.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            if !(piv.abs() > f64::MIN_POSITIVE) {
-                return Err(IluError::ZeroPivot(i));
-            }
-            inv_diag[i] = 1.0 / piv;
-            for li in lr {
-                lvals[li] = w[self.l_idx[li] as usize];
-            }
-            for ui in ur {
-                uvals[ui] = w[self.u_idx[ui] as usize];
-            }
-        }
-
+        assert_eq!(a.nrows(), self.n, "refactor dimension mismatch");
+        let [lvals, uvals, inv_diag] = self.eliminate(a)?;
         self.vals = match storage {
             PrecStorage::Double => FactorValues::F64 {
                 l: lvals,
@@ -289,6 +389,117 @@ impl IluFactors {
                 inv_diag: inv_diag.iter().map(|&v| v as f32).collect(),
             },
         };
+        Ok(())
+    }
+
+    /// The numeric ILU(k) elimination on the symbolic pattern, one I-node
+    /// at a time, in `f64`: `[l, u, inv_diag]`.
+    fn eliminate(&self, a: &CsrMatrix) -> Result<[Vec<f64>; 3], IluError> {
+        let n = self.n;
+        let mut e = Elimination {
+            l: vec![0.0; self.l_idx.len()],
+            u: vec![0.0; self.u_idx.len()],
+            inv_diag: vec![0.0; n],
+            w: vec![0.0; INODE_MAX * n],
+            mark: vec![usize::MAX; n],
+        };
+        for node in self.node_ptr.windows(2) {
+            let i0 = node[0];
+            match node[1] - i0 {
+                1 => self.eliminate_node::<1>(i0, a, &mut e),
+                2 => self.eliminate_node::<2>(i0, a, &mut e),
+                3 => self.eliminate_node::<3>(i0, a, &mut e),
+                4 => self.eliminate_node::<4>(i0, a, &mut e),
+                5 => self.eliminate_node::<5>(i0, a, &mut e),
+                _ => unreachable!("I-nodes hold 1 to INODE_MAX rows"),
+            }?;
+        }
+        Ok([e.l, e.u, e.inv_diag])
+    }
+
+    /// Eliminate the `M` rows of the I-node starting at row `i0`: phase 1
+    /// applies the pivots below the node to all its rows, phase 2 finishes
+    /// each row in order (see the module docs).
+    fn eliminate_node<const M: usize>(
+        &self,
+        i0: usize,
+        a: &CsrMatrix,
+        e: &mut Elimination,
+    ) -> Result<(), IluError> {
+        let Elimination {
+            l,
+            u,
+            inv_diag,
+            w,
+            mark,
+        } = e;
+        let last = i0 + M - 1;
+        // The node's column set: the pivots below it (row i0's L row), its
+        // own rows, and the columns above it (the last row's U row).
+        let below = self.l_row(i0);
+        let above = self.u_row(last);
+        for j in below
+            .iter()
+            .chain(above)
+            .map(|&j| j as usize)
+            .chain(i0..=last)
+        {
+            mark[j] = i0;
+            w[j * M..(j + 1) * M].fill(0.0);
+        }
+        // Scatter A's rows (the symbolic pattern contains A's pattern).
+        for r in 0..M {
+            let i = i0 + r;
+            for (&c, &v) in a.row_cols(i).iter().zip(a.row_vals(i)) {
+                w[c as usize * M + r] = v;
+            }
+        }
+        // Phase 1: each pivot below the node, ascending, updates every row
+        // from one walk of its U row, dropping fill outside the pattern.
+        for &k in below {
+            let k = k as usize;
+            let d = inv_diag[k];
+            let mut lk = [0.0f64; M];
+            for (lr, wr) in lk.iter_mut().zip(&mut w[k * M..(k + 1) * M]) {
+                *lr = *wr * d;
+                *wr = *lr;
+            }
+            let uk = self.u_ptr[k]..self.u_ptr[k + 1];
+            for (&j, &ukj) in self.u_idx[uk.clone()].iter().zip(&u[uk]) {
+                let j = j as usize;
+                if mark[j] == i0 {
+                    for (wr, lr) in w[j * M..(j + 1) * M].iter_mut().zip(&lk) {
+                        *wr -= lr * ukj;
+                    }
+                }
+            }
+        }
+        // Phase 2: each row in order applies its in-node pivots, whose U
+        // rows lie inside the node's column set, then finishes.
+        for r in 0..M {
+            let i = i0 + r;
+            for k in i0..i {
+                let lik = w[k * M + r] * inv_diag[k];
+                w[k * M + r] = lik;
+                let uk = self.u_ptr[k]..self.u_ptr[k + 1];
+                for (&j, &ukj) in self.u_idx[uk.clone()].iter().zip(&u[uk]) {
+                    w[j as usize * M + r] -= lik * ukj;
+                }
+            }
+            let piv = w[i * M + r];
+            // Negated on purpose: a NaN pivot must also take the error path.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            if !(piv.abs() > f64::MIN_POSITIVE) {
+                return Err(IluError::ZeroPivot(i));
+            }
+            inv_diag[i] = 1.0 / piv;
+            for li in self.l_ptr[i]..self.l_ptr[i + 1] {
+                l[li] = w[self.l_idx[li] as usize * M + r];
+            }
+            for ui in self.u_ptr[i]..self.u_ptr[i + 1] {
+                u[ui] = w[self.u_idx[ui] as usize * M + r];
+            }
+        }
         Ok(())
     }
 
@@ -311,14 +522,15 @@ impl IluFactors {
     }
 
     /// Whether this factorization can serve as a symbolic template for
-    /// factoring matrices with `opts` via clone + [`IluFactors::refactor`]:
-    /// same dimension, fill level, and storage precision.  The caller must
-    /// additionally guarantee the matrix *pattern* matches the one this was
-    /// factored from (e.g. Jacobians of the same mesh family and layout);
-    /// the numeric refactorization is then bitwise identical to a fresh
-    /// [`IluFactors::factor`], with the symbolic analysis skipped.
-    pub fn is_template_for(&self, n: usize, opts: &IluOptions) -> bool {
-        self.n == n && self.fill_level == opts.fill_level && self.storage() == opts.storage
+    /// factoring `a` with `opts` via clone + [`IluFactors::refactor`]: same
+    /// fill level, storage precision and source pattern
+    /// ([`Self::matches_pattern`]).  The numeric refactorization is then
+    /// bitwise identical to a fresh [`IluFactors::factor`], with the
+    /// symbolic analysis skipped.
+    pub fn is_template_for(&self, a: &CsrMatrix, opts: &IluOptions) -> bool {
+        self.fill_level == opts.fill_level
+            && self.storage() == opts.storage
+            && self.matches_pattern(a)
     }
 
     /// Total stored entries (L + U + diagonal).
@@ -341,6 +553,11 @@ impl IluFactors {
     /// column index, the two row-pointer arrays stream once, and `x` is
     /// read and written through both sweeps (Section 2.2's
     /// bandwidth-bound loop).
+    ///
+    /// This models the row-by-row sweep's index traffic.  The I-node
+    /// forward sweep loads a node's shared column indices once, so it reads
+    /// fewer index bytes than counted here; the model is kept so that rates
+    /// derived from it compare across the two sweeps.
     pub fn solve_traffic_bytes(&self) -> f64 {
         let n = self.n as f64;
         let offdiag = (self.l_idx.len() + self.u_idx.len()) as f64;
@@ -369,26 +586,33 @@ impl IluFactors {
     /// Section 2.2: each factor value is touched exactly once per solve.
     pub fn solve_in_place(&self, x: &mut [f64]) {
         match &self.vals {
-            FactorValues::F64 { l, u, inv_diag } => tri_solve(
-                &self.l_ptr,
-                &self.l_idx,
-                l,
-                &self.u_ptr,
-                &self.u_idx,
-                u,
-                inv_diag,
-                x,
-            ),
-            FactorValues::F32 { l, u, inv_diag } => tri_solve(
-                &self.l_ptr,
-                &self.l_idx,
-                l,
-                &self.u_ptr,
-                &self.u_idx,
-                u,
-                inv_diag,
-                x,
-            ),
+            FactorValues::F64 { l, u, inv_diag } => self.tri_solve(l, u, inv_diag, x),
+            FactorValues::F32 { l, u, inv_diag } => self.tri_solve(l, u, inv_diag, x),
+        }
+    }
+
+    fn tri_solve<T: WidenToF64>(&self, lvals: &[T], uvals: &[T], inv_diag: &[T], x: &mut [f64]) {
+        // Forward: L y = b (unit diagonal), one I-node at a time.
+        let (l_ptr, l_idx) = (&self.l_ptr[..], &self.l_idx[..]);
+        for node in self.node_ptr.windows(2) {
+            let i0 = node[0];
+            match node[1] - i0 {
+                1 => forward_node::<T, 1>(i0, l_ptr, l_idx, lvals, x),
+                2 => forward_node::<T, 2>(i0, l_ptr, l_idx, lvals, x),
+                3 => forward_node::<T, 3>(i0, l_ptr, l_idx, lvals, x),
+                4 => forward_node::<T, 4>(i0, l_ptr, l_idx, lvals, x),
+                5 => forward_node::<T, 5>(i0, l_ptr, l_idx, lvals, x),
+                _ => unreachable!("I-nodes hold 1 to INODE_MAX rows"),
+            }
+        }
+        // Backward: U x = y.
+        let n = self.n;
+        for i in (0..n).rev() {
+            let mut s = x[i];
+            for k in self.u_ptr[i]..self.u_ptr[i + 1] {
+                s -= uvals[k].widen() * x[self.u_idx[k] as usize];
+            }
+            x[i] = s * inv_diag[i].widen();
         }
     }
 
@@ -500,33 +724,33 @@ impl WidenToF64 for f32 {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn tri_solve<T: WidenToF64>(
+/// Forward-sweep (`L y = b`, unit diagonal) the `M` rows of the I-node
+/// starting at row `i0`.  Row `i0 + r`'s L row is the node's shared
+/// below-node columns (row `i0`'s L row), then `r` in-node entries.
+#[inline(always)]
+fn forward_node<T: WidenToF64, const M: usize>(
+    i0: usize,
     l_ptr: &[usize],
     l_idx: &[u32],
     lvals: &[T],
-    u_ptr: &[usize],
-    u_idx: &[u32],
-    uvals: &[T],
-    inv_diag: &[T],
     x: &mut [f64],
 ) {
-    let n = inv_diag.len();
-    // Forward: L y = b (unit diagonal).
-    for i in 0..n {
-        let mut s = x[i];
-        for k in l_ptr[i]..l_ptr[i + 1] {
-            s -= lvals[k].widen() * x[l_idx[k] as usize];
+    let below = &l_idx[l_ptr[i0]..l_ptr[i0 + 1]];
+    let nb = below.len();
+    let rows: [&[T]; M] = std::array::from_fn(|r| &lvals[l_ptr[i0 + r]..l_ptr[i0 + r + 1]]);
+    let shared: [&[T]; M] = std::array::from_fn(|r| &rows[r][..nb]);
+    let mut s: [f64; M] = std::array::from_fn(|r| x[i0 + r]);
+    for (c, &j) in below.iter().enumerate() {
+        let xj = x[j as usize];
+        for r in 0..M {
+            s[r] -= shared[r][c].widen() * xj;
         }
-        x[i] = s;
     }
-    // Backward: U x = y.
-    for i in (0..n).rev() {
-        let mut s = x[i];
-        for k in u_ptr[i]..u_ptr[i + 1] {
-            s -= uvals[k].widen() * x[u_idx[k] as usize];
+    for r in 0..M {
+        for (t, v) in rows[r][nb..].iter().enumerate() {
+            s[r] -= v.widen() * x[i0 + t];
         }
-        x[i] = s * inv_diag[i].widen();
+        x[i0 + r] = s[r];
     }
 }
 
@@ -681,6 +905,313 @@ mod tests {
             *ri -= bi;
         }
         norm2(&r)
+    }
+
+    /// The row-by-row elimination and forward sweep that the I-node kernels
+    /// replaced, kept as their bitwise reference.
+    mod reference {
+        use super::super::*;
+
+        /// Row-by-row ILU(k) elimination on `f`'s pattern, in `f64`:
+        /// `[l, u, inv_diag]`.
+        pub fn eliminate(f: &IluFactors, a: &CsrMatrix) -> Result<[Vec<f64>; 3], IluError> {
+            let n = f.n;
+            let mut lvals = vec![0.0f64; f.l_idx.len()];
+            let mut uvals = vec![0.0f64; f.u_idx.len()];
+            let mut inv_diag = vec![0.0f64; n];
+            // Dense work row with a stamp-based membership mask.
+            let mut w = vec![0.0f64; n];
+            let mut stamp = vec![usize::MAX; n];
+            for i in 0..n {
+                let lr = f.l_ptr[i]..f.l_ptr[i + 1];
+                let ur = f.u_ptr[i]..f.u_ptr[i + 1];
+                for &j in f.l_idx[lr.clone()].iter().chain(&f.u_idx[ur.clone()]) {
+                    stamp[j as usize] = i;
+                    w[j as usize] = 0.0;
+                }
+                stamp[i] = i;
+                w[i] = 0.0;
+                for (&c, &v) in a.row_cols(i).iter().zip(a.row_vals(i)) {
+                    w[c as usize] = v;
+                }
+                for &k in &f.l_idx[lr.clone()] {
+                    let k = k as usize;
+                    let lik = w[k] * inv_diag[k];
+                    w[k] = lik;
+                    let uk = f.u_ptr[k]..f.u_ptr[k + 1];
+                    for (&j, &ukj) in f.u_idx[uk.clone()].iter().zip(&uvals[uk]) {
+                        let j = j as usize;
+                        if stamp[j] == i {
+                            w[j] -= lik * ukj;
+                        }
+                    }
+                }
+                let piv = w[i];
+                #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                if !(piv.abs() > f64::MIN_POSITIVE) {
+                    return Err(IluError::ZeroPivot(i));
+                }
+                inv_diag[i] = 1.0 / piv;
+                for li in lr {
+                    lvals[li] = w[f.l_idx[li] as usize];
+                }
+                for ui in ur {
+                    uvals[ui] = w[f.u_idx[ui] as usize];
+                }
+            }
+            Ok([lvals, uvals, inv_diag])
+        }
+
+        /// `x <- U^{-1} L^{-1} x` with the row-by-row forward sweep.
+        pub fn solve_in_place(f: &IluFactors, x: &mut [f64]) {
+            match &f.vals {
+                FactorValues::F64 { l, u, inv_diag } => sweeps(f, l, u, inv_diag, x),
+                FactorValues::F32 { l, u, inv_diag } => sweeps(f, l, u, inv_diag, x),
+            }
+        }
+
+        fn sweeps<T: WidenToF64>(
+            f: &IluFactors,
+            lvals: &[T],
+            uvals: &[T],
+            inv_diag: &[T],
+            x: &mut [f64],
+        ) {
+            for i in 0..f.n {
+                let mut s = x[i];
+                for k in f.l_ptr[i]..f.l_ptr[i + 1] {
+                    s -= lvals[k].widen() * x[f.l_idx[k] as usize];
+                }
+                x[i] = s;
+            }
+            for i in (0..f.n).rev() {
+                let mut s = x[i];
+                for k in f.u_ptr[i]..f.u_ptr[i + 1] {
+                    s -= uvals[k].widen() * x[f.u_idx[k] as usize];
+                }
+                x[i] = s * inv_diag[i].widen();
+            }
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Bits of the stored `[l, u, inv_diag]` values.
+    fn value_bits(f: &IluFactors) -> [Vec<u64>; 3] {
+        match &f.vals {
+            FactorValues::F64 { l, u, inv_diag } => [bits(l), bits(u), bits(inv_diag)],
+            FactorValues::F32 { l, u, inv_diag } => {
+                [l, u, inv_diag].map(|v| v.iter().map(|x| x.to_bits() as u64).collect())
+            }
+        }
+    }
+
+    /// Factor `a` with the I-node kernels and check the stored values, the
+    /// zero-pivot row and `solve` bit for bit against the row-by-row
+    /// reference.  Returns the factors when `a` factors.
+    fn check_against_reference(a: &CsrMatrix, opts: &IluOptions, what: &str) -> Option<IluFactors> {
+        let want = reference::eliminate(&IluFactors::analyze(a, opts.fill_level), a);
+        let f = match IluFactors::factor(a, opts) {
+            Err(e) => {
+                assert_eq!(Err(e), want.map(|_| ()), "{what}");
+                return None;
+            }
+            Ok(f) => f,
+        };
+        let [l, u, d] = want.unwrap_or_else(|e| panic!("{what}: only the reference fails: {e}"));
+        let narrow = |v: Vec<f64>| match opts.storage {
+            PrecStorage::Double => bits(&v),
+            PrecStorage::Single => v.iter().map(|&x| (x as f32).to_bits() as u64).collect(),
+        };
+        assert!(
+            value_bits(&f) == [narrow(l), narrow(u), narrow(d)],
+            "{what}: factor values"
+        );
+        let n = a.nrows();
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() + 0.25).collect();
+        let mut x = vec![0.0; n];
+        f.solve(&b, &mut x);
+        let mut want = b;
+        reference::solve_in_place(&f, &mut want);
+        assert_eq!(bits(&x), bits(&want), "{what}: solve");
+        Some(f)
+    }
+
+    /// A diagonally dominant matrix with `nv` vertices of `b` unknowns and
+    /// dense `b x b` blocks on a random vertex graph, numbered interlaced
+    /// (`family` 0) or segregated (1).  Family 2 is interlaced plus a few
+    /// entries to the right of single rows' vertex blocks, so a vertex's
+    /// rows share their L columns but not their U columns.  Vertices
+    /// without neighbours give rows with only their diagonal block, and now
+    /// and then one row is left empty, so its pivot is zero.
+    fn block_matrix(nv: usize, b: usize, family: usize, seed: u64) -> CsrMatrix {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n = nv * b;
+        let idx = |v: usize, c: usize| if family == 1 { c * nv + v } else { v * b + c };
+        let mut pos = Vec::new();
+        let mut block = |v: usize, w: usize| {
+            for c in 0..b {
+                for d in 0..b {
+                    pos.push((idx(v, c), idx(w, d)));
+                }
+            }
+        };
+        for v in 0..nv {
+            block(v, v);
+        }
+        for _ in 0..rng.gen_range(0..2 * nv + 1) {
+            let (v, w) = (rng.gen_range(0..nv), rng.gen_range(0..nv));
+            block(v, w);
+            block(w, v);
+        }
+        if family == 2 {
+            for _ in 0..rng.gen_range(1..nv + 2) {
+                let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if j / b > i / b {
+                    pos.push((i, j));
+                }
+            }
+        }
+        let empty = (rng.gen_range(0..8) == 0).then(|| rng.gen_range(0..n));
+        let mut t = TripletMatrix::new(n, n);
+        let mut rowsum = vec![0.0f64; n];
+        for (i, j) in pos {
+            if i != j && Some(i) != empty {
+                let v: f64 = rng.gen_range(-1.0..1.0);
+                t.push(i, j, v);
+                rowsum[i] += v.abs();
+            }
+        }
+        for (i, s) in rowsum.iter().enumerate() {
+            if Some(i) != empty {
+                t.push(i, i, s + 1.0);
+            }
+        }
+        t.to_csr()
+    }
+
+    fn inode_sizes(f: &IluFactors) -> Vec<usize> {
+        f.inodes().map(|r| r.len()).collect()
+    }
+
+    #[test]
+    fn inodes_split_vertex_blocks_at_five_rows() {
+        // A chain of vertices: neighbouring vertices never share their
+        // column set, so each node lies inside one vertex block.
+        let nv = 4;
+        for b in 1..=7 {
+            let mut t = TripletMatrix::new(nv * b, nv * b);
+            for v in 0..nv {
+                for w in v.saturating_sub(1)..(v + 2).min(nv) {
+                    for c in 0..b {
+                        for d in 0..b {
+                            let diag = if (v, c) == (w, d) {
+                                4.0 * b as f64
+                            } else {
+                                0.0
+                            };
+                            t.push(v * b + c, w * b + d, diag - 1.0 / (1 + c + d) as f64);
+                        }
+                    }
+                }
+            }
+            let a = t.to_csr();
+            let want: Vec<usize> = match b {
+                6 => [5, 1].repeat(nv),
+                7 => [5, 2].repeat(nv),
+                _ => vec![b; nv],
+            };
+            for fill in [0, 1] {
+                let opts = IluOptions::with_fill(fill);
+                let mut f = check_against_reference(&a, &opts, &format!("b={b}")).unwrap();
+                assert_eq!(inode_sizes(&f), want, "b={b} fill={fill}");
+                f.refactor(&a).unwrap();
+                assert_eq!(inode_sizes(&f), want, "refactor keeps the partition");
+                assert_eq!(inode_sizes(&f.clone()), want, "clones keep the partition");
+            }
+        }
+        assert_eq!(
+            inode_sizes(&IluFactors::factor(&tridiag(7), &IluOptions::default()).unwrap()),
+            vec![1; 7]
+        );
+        let empty = CsrMatrix::from_raw(0, 0, vec![0], Vec::new(), Vec::new());
+        assert_eq!(
+            IluFactors::factor(&empty, &IluOptions::default())
+                .unwrap()
+                .inodes()
+                .count(),
+            0
+        );
+    }
+
+    #[test]
+    fn zero_and_nan_pivots_in_a_node_report_the_reference_row() {
+        // Three vertices of five unknowns in a chain; row 8 is row 3 of the
+        // second node.  With its L entries and its diagonal zero, or its
+        // diagonal NaN, its pivot fails after rows 5 to 7 have finished.
+        let (nv, b) = (3, 5);
+        let matrix = |diag8: f64| {
+            let mut t = TripletMatrix::new(nv * b, nv * b);
+            for v in 0..nv {
+                for w in v.saturating_sub(1)..(v + 2).min(nv) {
+                    for c in 0..b {
+                        for d in 0..b {
+                            let (i, j) = (v * b + c, w * b + d);
+                            let val = match (i, j) {
+                                (8, 8) => diag8,
+                                (8, j) if j < 8 => 0.0,
+                                _ if i == j => 10.0,
+                                _ => 0.5 / (1 + c + 2 * d) as f64,
+                            };
+                            t.push(i, j, val);
+                        }
+                    }
+                }
+            }
+            t.to_csr()
+        };
+        let good = matrix(10.0);
+        let f = check_against_reference(&good, &IluOptions::default(), "good").unwrap();
+        assert_eq!(inode_sizes(&f), vec![5; 3]);
+        for bad in [0.0, f64::NAN] {
+            let a = matrix(bad);
+            let what = format!("diagonal {bad}");
+            assert!(check_against_reference(&a, &IluOptions::default(), &what).is_none());
+            assert_eq!(
+                IluFactors::factor(&a, &IluOptions::default()).err(),
+                Some(IluError::ZeroPivot(8)),
+                "{what}"
+            );
+            // A failed refactor leaves the previous factors in place.
+            let mut g = f.clone();
+            assert_eq!(g.refactor(&a), Err(IluError::ZeroPivot(8)), "{what}");
+            assert!(value_bits(&g) == value_bits(&f), "{what}");
+        }
+    }
+
+    #[test]
+    fn matches_pattern_checks_the_source_pattern() {
+        let a = dd_matrix(40, 7);
+        for fill in [0, 1, 2] {
+            let opts = IluOptions::with_fill(fill);
+            let f = IluFactors::factor(&a, &opts).unwrap();
+            let mut scaled = a.clone();
+            scaled.scale(3.0);
+            assert!(f.matches_pattern(&a) && f.is_template_for(&scaled, &opts));
+            // Foreign patterns: a subset (the diagonal), other random
+            // couplings, another dimension.
+            assert!(!f.is_template_for(&CsrMatrix::identity(40), &opts));
+            assert!(!f.is_template_for(&dd_matrix(40, 8), &opts));
+            assert!(!f.is_template_for(&dd_matrix(41, 7), &opts));
+            assert!(!f.is_template_for(&a, &IluOptions::with_fill(fill + 1)));
+            let single = IluOptions {
+                fill_level: fill,
+                storage: PrecStorage::Single,
+            };
+            assert!(!f.is_template_for(&a, &single));
+        }
     }
 
     #[test]
@@ -918,6 +1449,47 @@ mod tests {
                     assert_eq!(xs, xp, "levels n={n} fill={fill} nthreads={nthreads}");
                 }
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The I-node elimination and forward sweep equal the row-by-row
+        /// reference bit for bit (factor values, zero-pivot rows, solves)
+        /// on every family of [`block_matrix`]: interlaced vertex blocks of
+        /// 1 to 7 rows (6 and 7 split into 5 + 1 and 5 + 2), segregated
+        /// blocks (one-row nodes), rows that share their L columns but not
+        /// their U columns, and empty rows; at fill 0 and 1 in both
+        /// storages.  Every node obeys the node rule and is maximal.
+        #[test]
+        fn inode_kernels_match_the_row_by_row_reference(
+            nv in 1usize..16,
+            b in 1usize..8,
+            family in 0usize..3,
+            fill in 0usize..2,
+            storage in 0usize..2,
+            seed in 0u64..1 << 40,
+        ) {
+            let a = block_matrix(nv, b, family, seed);
+            let storage = [PrecStorage::Double, PrecStorage::Single][storage];
+            let opts = IluOptions { fill_level: fill, storage };
+            let what = format!("nv={nv} b={b} family={family} fill={fill} {storage:?} seed={seed}");
+            let f = IluFactors::analyze(&a, fill);
+            let nodes: Vec<_> = f.inodes().collect();
+            proptest::prop_assert_eq!(nodes.last().map_or(0, |r| r.end), a.nrows());
+            for (k, node) in nodes.iter().enumerate() {
+                proptest::prop_assert!((1..=INODE_MAX).contains(&node.len()), "{}", what);
+                for i in node.clone() {
+                    proptest::prop_assert!(f.row_set(i).eq(f.row_set(node.start)), "{}", what);
+                }
+                if let Some(next) = nodes.get(k + 1) {
+                    let full = node.len() == INODE_MAX;
+                    let differs = !f.row_set(next.start).eq(f.row_set(node.start));
+                    proptest::prop_assert!(full || differs, "{} node {:?} is not maximal", what, node);
+                }
+            }
+            check_against_reference(&a, &opts, &what);
         }
     }
 

@@ -11,7 +11,7 @@ use petsc_fun3d_repro::mesh::generator::BumpChannelSpec;
 use petsc_fun3d_repro::mesh::reorder::{EdgeOrdering, VertexOrdering};
 use petsc_fun3d_repro::solver::gmres::GmresOptions;
 use petsc_fun3d_repro::solver::pseudo::{Forcing, PrecondSpec, PseudoTransientOptions};
-use petsc_fun3d_repro::sparse::ilu::IluOptions;
+use petsc_fun3d_repro::sparse::ilu::{IluFactors, IluOptions};
 use petsc_fun3d_repro::sparse::layout::FieldLayout;
 
 /// The residual norm of the initial state is a pure function of the mesh
@@ -131,5 +131,28 @@ fn jacobian_is_layout_equivariant() {
         for (va, vb) in ji_permuted.row_vals(i).iter().zip(js.row_vals(i)) {
             assert!((va - vb).abs() < 1e-12, "row {i}: {va} vs {vb}");
         }
+    }
+}
+
+/// Point ILU groups the rows of each interlaced vertex into one I-node
+/// (5 rows compressible, 4 incompressible, also at ILU(1)); segregated
+/// rows, whose neighbours change from row to row, form one-row nodes.
+#[test]
+fn point_ilu_inodes_follow_the_field_layout() {
+    let mesh = BumpChannelSpec::with_dims(6, 5, 4).build();
+    for (model, layout, fill, size) in [
+        (FlowModel::compressible(), FieldLayout::Interlaced, 0, 5),
+        (FlowModel::incompressible(), FieldLayout::Interlaced, 0, 4),
+        (FlowModel::incompressible(), FieldLayout::Interlaced, 1, 4),
+        (FlowModel::compressible(), FieldLayout::Segregated, 0, 1),
+        (FlowModel::incompressible(), FieldLayout::Segregated, 0, 1),
+    ] {
+        let disc = Discretization::new(&mesh, model, layout, SpatialOrder::First);
+        let mut jac = disc.jacobian(&disc.initial_state());
+        jac.shift_diagonal(1e3);
+        let f = IluFactors::factor(&jac, &IluOptions::with_fill(fill)).expect("shifted Jacobian");
+        let what = format!("{} unknowns, {layout:?}, fill {fill}", model.ncomp());
+        assert!(f.inodes().all(|r| r.len() == size), "{what}");
+        assert_eq!(f.inodes().count(), jac.nrows() / size, "{what}");
     }
 }
