@@ -6,7 +6,10 @@
 //! that runs the same per-chunk kernels through the public `ParCtx`
 //! helpers, which fork from 4,096 items.  The size where `t2-fork` beats
 //! `t1` is the break-even below which the `_par` helpers keep their chunks
-//! inline; `t2` shows where they actually fork.
+//! inline; `t2` shows where they actually fork.  `mgs-cycle/4800` times
+//! one GMRES(20) cycle of modified Gram–Schmidt at 4,800 entries (the
+//! compressible benchmark mesh's unknowns): 20 steps of `dot_par`,
+//! `axpy_par` and `norm2_par` against a growing orthonormal basis.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fun3d_sparse::par::ParCtx;
@@ -70,7 +73,53 @@ fn bench_par_sweep(c: &mut Criterion) {
             })
         });
     }
+    bench_mgs_cycle(&mut group, 4_800, [("t1", &t1), ("t2", &t2)]);
     group.finish();
+}
+
+/// One GMRES(`RESTART`) cycle of modified Gram–Schmidt on length-`n`
+/// vectors: step `j` orthogonalizes a fixed vector against the first
+/// `j + 1` basis vectors, then takes its norm.
+fn bench_mgs_cycle(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    n: usize,
+    teams: [(&str, &ParCtx); 2],
+) {
+    const RESTART: usize = 20;
+    let vector = |k: usize| -> Vec<f64> {
+        (0..n)
+            .map(|i| ((i * (k + 1)) as f64 * 1e-3).sin() + 0.1 * k as f64)
+            .collect()
+    };
+    let fresh: Vec<Vec<f64>> = (0..RESTART).map(|j| vector(j + 1)).collect();
+    // An orthonormal basis, so every step works on well-scaled vectors.
+    let mut basis: Vec<Vec<f64>> = Vec::with_capacity(RESTART);
+    for k in 0..RESTART {
+        let mut v = vector(k + RESTART + 1);
+        for b in &basis {
+            vec_ops::axpy(-vec_ops::dot(&v, b), b, &mut v);
+        }
+        vec_ops::scale(1.0 / vec_ops::norm2(&v), &mut v);
+        basis.push(v);
+    }
+    let mut w = vec![0.0; n];
+    // Per cycle: 210 dots (16 B an entry) and axpys (24 B), 20 norms (8 B).
+    let steps = RESTART * (RESTART + 1) / 2;
+    group.throughput(Throughput::Bytes(((steps * 40 + RESTART * 8) * n) as u64));
+    for (team, ctx) in teams {
+        group.bench_function(format!("mgs-cycle/{n}/{team}"), |b| {
+            b.iter(|| {
+                for (j, f) in fresh.iter().enumerate() {
+                    w.copy_from_slice(f);
+                    for v in &basis[..=j] {
+                        let h = vec_ops::dot_par(&w, v, ctx);
+                        vec_ops::axpy_par(-h, v, &mut w, ctx);
+                    }
+                    std::hint::black_box(vec_ops::norm2_par(&w, ctx));
+                }
+            })
+        });
+    }
 }
 
 criterion_group! {

@@ -5,9 +5,11 @@
 //! block ILU(0) on the same blocks, GMRES(20)) and the compressible
 //! matrix-free solve with point ILU(0) refreshed every 4th step on a
 //! 2-thread team.  The compressible
-//! solve also runs on the benchmark's own 15×8×8 mesh.  Each test checks
-//! the step count, every step's Krylov iterations and the bits of every
-//! residual norm (the initial one first) against the values below.
+//! solve also runs on the benchmark's own 15×8×8 mesh.  The distributed
+//! solve (`solve_parallel_nks`, point ILU(1) subdomain factors) runs on 4
+//! ranks.  Each test checks the step count, every step's Krylov iterations
+//! and the bits of every residual norm (the initial one first) against the
+//! values below.
 //!
 //! A change that reorders floating-point additions anywhere in the solve
 //! fails here.  Re-record a history only in a change that is meant to move
@@ -15,10 +17,13 @@
 //! in the form this file uses.
 
 use fun3d_core::config::{apply_orderings, LayoutConfig};
+use fun3d_core::parallel_nks::{solve_parallel_nks, ParallelNksOptions};
 use fun3d_core::EulerProblem;
 use fun3d_euler::model::FlowModel;
 use fun3d_euler::residual::{Discretization, SpatialOrder};
+use fun3d_memmodel::machine::MachineSpec;
 use fun3d_mesh::generator::BumpChannelSpec;
+use fun3d_partition::partition_kway;
 use fun3d_solver::gmres::GmresOptions;
 use fun3d_solver::pseudo::{
     solve_pseudo_transient, Forcing, PrecondSpec, PseudoTransientOptions, SolveHistory,
@@ -86,10 +91,23 @@ fn check(name: &str, h: &SolveHistory, iters: &[usize], residual_bits: &[u64]) {
     assert!(h.converged, "{name}: not converged ({:.2e})", h.reduction());
     assert!(h.anomaly.is_none(), "{name}: {:?}", h.anomaly);
     let got_iters: Vec<usize> = h.steps.iter().map(|s| s.linear_iters).collect();
-    let got_bits: Vec<u64> = std::iter::once(h.initial_residual)
+    let norms: Vec<f64> = std::iter::once(h.initial_residual)
         .chain(h.steps.iter().map(|s| s.residual_norm))
-        .map(f64::to_bits)
         .collect();
+    check_norms(name, &got_iters, &norms, iters, residual_bits);
+}
+
+/// Compare per-step Krylov iterations and residual norms (the initial one
+/// first) with the recorded ones; on a mismatch, panic with the new values
+/// in this file's form.
+fn check_norms(
+    name: &str,
+    got_iters: &[usize],
+    norms: &[f64],
+    iters: &[usize],
+    residual_bits: &[u64],
+) {
+    let got_bits: Vec<u64> = norms.iter().map(|v| v.to_bits()).collect();
     if got_iters != iters || got_bits != residual_bits {
         let bits: Vec<String> = got_bits.iter().map(|b| format!("{b:#018x}")).collect();
         panic!(
@@ -97,7 +115,7 @@ fn check(name: &str, h: &SolveHistory, iters: &[usize], residual_bits: &[u64]) {
              const ITERS: &[usize] = &{got_iters:?};\n\
              const RESIDUAL_BITS: &[u64] = &[{}];",
             iters.len(),
-            h.nsteps(),
+            got_iters.len(),
             bits.join(", ")
         );
     }
@@ -156,37 +174,37 @@ fn compressible_matrix_free_history_is_pinned() {
     ];
     const RESIDUAL_BITS: &[u64] = &[
         0x3fb57018b0c55c94,
-        0x3facd02c9a03ece8,
-        0x3fa12e50a624a94c,
-        0x3f926575e4d23666,
-        0x3f80ca3ec3b44d5b,
-        0x3f62202c0bc11a7a,
-        0x3f4f5ca891c9e1e1,
-        0x3f506d059ca2b3d9,
-        0x3f51fa2c1e47c715,
-        0x3f53724e53ae75ac,
-        0x3f54c0d786d8e78b,
-        0x3f55e396027a5c24,
-        0x3f56d71e7e53df44,
-        0x3f5797a4948991c7,
-        0x3f5822dce81e4b0f,
-        0x3f587465cfe2975e,
-        0x3f588b6edb076bfe,
-        0x3f58566eb746dd31,
-        0x3f57dc3ccc6199ca,
-        0x3f571389caa4c6aa,
-        0x3f55f5bc2d1249e6,
-        0x3f547bea6a4511a8,
-        0x3f52a1591215eb68,
-        0x3f50615313c2c6a4,
-        0x3f4b77aad797b36f,
-        0x3f457195365fe0a6,
-        0x3f3dcb221a0e33c7,
-        0x3f30c1bc6abba405,
-        0x3f187641fd45a0b9,
-        0x3eea80c1fb3cb570,
-        0x3e864980b9fd69e9,
-        0x3deba8a874d95bb9,
+        0x3facd02c9a03ecea,
+        0x3fa12e50a624c34a,
+        0x3f926575e4cdb76f,
+        0x3f80ca3ec3ae1202,
+        0x3f62202c0bdf0e54,
+        0x3f4f5ca8937759c4,
+        0x3f506d05a0b6dced,
+        0x3f51fa2c1cecf4cd,
+        0x3f53724e55f404ef,
+        0x3f54c0d7863e01cb,
+        0x3f55e396032fc6b5,
+        0x3f56d71e7f656dac,
+        0x3f5797a496a03269,
+        0x3f5822dce7e36be6,
+        0x3f587465d1302bbd,
+        0x3f588b6ed92b4e86,
+        0x3f58566eb4e1ef07,
+        0x3f57dc3ccba56156,
+        0x3f571389c8cbf25e,
+        0x3f55f5bc2e2a3314,
+        0x3f547bea6a22c421,
+        0x3f52a1590eff7c6a,
+        0x3f5061531326e7cd,
+        0x3f4b77aad5ae7ce8,
+        0x3f457195347b762a,
+        0x3f3dcb221246cb87,
+        0x3f30c1bc6bd89dee,
+        0x3f187641eae2c760,
+        0x3eea80c1d16fcb00,
+        0x3e86497f8ba80d49,
+        0x3deba87e61618d35,
     ];
     let h = solve(
         (8, 6, 6),
@@ -209,64 +227,64 @@ fn compressible_matrix_free_benchmark_mesh_history_is_pinned() {
     ];
     const RESIDUAL_BITS: &[u64] = &[
         0x3fb035d084793159,
-        0x3fa6afc4df665ecb,
-        0x3f9dce857bfab793,
-        0x3f93025985f8fb45,
-        0x3f8655424ae43961,
-        0x3f756d03d9f56138,
-        0x3f5c43ca29d1183e,
-        0x3f54c4090e6b76e0,
-        0x3f58278090a36d41,
-        0x3f592aa2108aae45,
-        0x3f594fb1d906cb1d,
-        0x3f5933821d11b998,
-        0x3f5900e4eae9a684,
-        0x3f58c57943d2d212,
-        0x3f587ffe8c524dd7,
-        0x3f582b5b2b1cae15,
-        0x3f57d1653aa884cf,
-        0x3f5774de251796c6,
-        0x3f570a4be07b6a1f,
-        0x3f569b21d1895bb1,
-        0x3f5625c01ca70f1b,
-        0x3f55aa9434f8eb97,
-        0x3f552a1a75d8167b,
-        0x3f549d87b701708e,
-        0x3f54105b8e407f4f,
-        0x3f53808786cd4b99,
-        0x3f52eb5d570c106e,
-        0x3f5251c7c630483f,
-        0x3f51b43c8b13c283,
-        0x3f5114598848ac94,
-        0x3f5070020646e910,
-        0x3f4f90a3e32c15f6,
-        0x3f4e3b7a2268dcec,
-        0x3f4ce3e7a270bf2a,
-        0x3f4b81918353ca8a,
-        0x3f4a1e2fc3536a18,
-        0x3f48b735cc919f1b,
-        0x3f474dde5b9c4116,
-        0x3f45de925f522742,
-        0x3f446ea7ac6ddb61,
-        0x3f42fd602f81faea,
-        0x3f41893df0282d16,
-        0x3f4014ea3cb943c9,
-        0x3f3d415c1a0e6af5,
-        0x3f3a58dc2194f428,
-        0x3f376cbdde6a80e5,
-        0x3f34851b3b7217bc,
-        0x3f31a0dd2427fd11,
-        0x3f2d86115423a2cf,
-        0x3f27e6088b96af9e,
-        0x3f2269f7b047a214,
-        0x3f1a60056bae13d2,
-        0x3f10c3a510691fcc,
-        0x3f01fe29a0173273,
-        0x3ef88469da3db109,
-        0x3ed28da84a645e48,
-        0x3e9ca042a806f8c5,
-        0x3e09238cd8659393,
-        0x3da110edbb95dcbd,
+        0x3fa6afc4df665ecc,
+        0x3f9dce857bfadf4e,
+        0x3f93025985f9f044,
+        0x3f8655424aec72b8,
+        0x3f756d03da0b2cc2,
+        0x3f5c43ca29d6d661,
+        0x3f54c4090eb11ceb,
+        0x3f58278091a3517a,
+        0x3f592aa2108843a9,
+        0x3f594fb1d85261c7,
+        0x3f5933821da51680,
+        0x3f5900e4eb212f3e,
+        0x3f58c579431d4832,
+        0x3f587ffe8c84db3e,
+        0x3f582b5b2a727cc6,
+        0x3f57d1653a647e1b,
+        0x3f5774de24952fe5,
+        0x3f570a4be12f7448,
+        0x3f569b21cf75dc39,
+        0x3f5625c01a437d01,
+        0x3f55aa943630610c,
+        0x3f552a1a744d878d,
+        0x3f549d87b670c666,
+        0x3f54105b8e9bc651,
+        0x3f538087882dd923,
+        0x3f52eb5d58727407,
+        0x3f5251c7c70c2f36,
+        0x3f51b43c8ba341be,
+        0x3f511459892b9605,
+        0x3f507002099a1b7d,
+        0x3f4f90a3e3651530,
+        0x3f4e3b7a200eb9af,
+        0x3f4ce3e7a67544f3,
+        0x3f4b8191852a5349,
+        0x3f4a1e2fc83db049,
+        0x3f48b735c7bcd5d1,
+        0x3f474dde5f4e70e5,
+        0x3f45de925d5187a9,
+        0x3f446ea7b296aaff,
+        0x3f42fd60343b693f,
+        0x3f41893df3a44b53,
+        0x3f4014ea35438e18,
+        0x3f3d415c1bd80efb,
+        0x3f3a58dc18125581,
+        0x3f376cbde14cc17a,
+        0x3f34851b42611868,
+        0x3f31a0dd21b7d367,
+        0x3f2d861158a80677,
+        0x3f27e6088b1ee562,
+        0x3f2269f7adb4b1fc,
+        0x3f1a60055ca163d0,
+        0x3f10c3a4fd9840ea,
+        0x3f01fe299751d030,
+        0x3ef88469c46b6a79,
+        0x3ed28da801362ded,
+        0x3e9ca0426d5e98e2,
+        0x3e092366fd3e27dd,
+        0x3da1114c4dc2102e,
     ];
     let h = solve(
         (15, 8, 8),
@@ -274,4 +292,86 @@ fn compressible_matrix_free_benchmark_mesh_history_is_pinned() {
         &compressible_options(),
     );
     check("compressible matrix-free 15x8x8", &h, ITERS, RESIDUAL_BITS);
+}
+
+/// The distributed solve on 4 ranks: the 8×6×6 incompressible mesh (seed
+/// 1), a k-way partition from seed 1 and default options, so each rank
+/// factors point ILU(1) on its subdomain block.
+#[test]
+fn distributed_history_is_pinned() {
+    const ITERS: &[usize] = &[
+        4, 5, 10, 15, 16, 16, 15, 15, 15, 15, 15, 15, 14, 14, 14, 14, 14, 14, 14, 14, 15, 15, 15,
+        15, 15, 16, 16, 16, 17, 17, 9, 18, 18, 18, 18, 18, 18, 18, 18, 18, 18, 18, 18, 18, 18, 18,
+    ];
+    const RESIDUAL_BITS: &[u64] = &[
+        0x3ff05122c7501362,
+        0x3fdd552090def138,
+        0x3fc2ad0a3c447150,
+        0x3f9b3f2719b4ad88,
+        0x3f8938a0bf15242c,
+        0x3f8d500c5fd2f0e1,
+        0x3f905a0c0e356e20,
+        0x3f91e5da4abf0c77,
+        0x3f9338b70fc1f588,
+        0x3f9443eb6703a97a,
+        0x3f950d6d9032c8f4,
+        0x3f959281973b06e4,
+        0x3f95d6fdffdd284f,
+        0x3f95d7df6d2552fa,
+        0x3f95a1b8bc8b388e,
+        0x3f9530ac2f7b37c7,
+        0x3f94890618679b36,
+        0x3f93af2b2b2acda1,
+        0x3f92a7cd0a0469d2,
+        0x3f9178cb60e23843,
+        0x3f90275b9cbd2fa3,
+        0x3f8d7b99f36a5349,
+        0x3f8a6c327ee0d932,
+        0x3f8744c825118d8e,
+        0x3f83f57f3e3333a7,
+        0x3f80995116901569,
+        0x3f7a59ca86086fa4,
+        0x3f735a691f3c0303,
+        0x3f691881f839072c,
+        0x3f5971b1d9369dfc,
+        0x3f37bcaf55e7cf74,
+        0x3f00c5703a3375d9,
+        0x3ef38a70c8a3f989,
+        0x3ee5489e47ab5409,
+        0x3ed80695abbf2799,
+        0x3ecb3332d3668dc5,
+        0x3ebecd08dc8664b3,
+        0x3eb1705f40afa75a,
+        0x3ea3bf3e65ee1eaf,
+        0x3e965c551b52eb67,
+        0x3e8951f80254d8eb,
+        0x3e7cabe3480225a1,
+        0x3e703bad1172ed76,
+        0x3e6261b2bc28ee66,
+        0x3e54d08473ce85f8,
+        0x3e4791c497bbb25d,
+        0x3e3ab05cefeb5970,
+    ];
+    let mut spec = BumpChannelSpec::with_dims(8, 6, 6);
+    spec.seed = 1;
+    let mesh = spec.build();
+    let nranks = 4;
+    let owner = partition_kway(&mesh.vertex_graph(), nranks, 1).part;
+    let report = solve_parallel_nks(
+        &mesh,
+        FlowModel::incompressible(),
+        &owner,
+        nranks,
+        &MachineSpec::asci_red(),
+        &ParallelNksOptions::default(),
+    );
+    let name = "distributed 4 ranks 8x6x6";
+    assert!(report.converged, "{name}: not converged");
+    check_norms(
+        name,
+        &report.linear_iters,
+        &report.residual_history,
+        ITERS,
+        RESIDUAL_BITS,
+    );
 }

@@ -31,6 +31,10 @@ pub enum AnomalyKind {
     /// The line search rejected every trial step (accepted step length 0)
     /// for several consecutive steps: the CFL schedule cannot advance.
     CflBreakdown,
+    /// A preconditioner factorization met a zero (or non-finite) pivot, so
+    /// the step cannot precondition.  Raised by the solve, not the monitor;
+    /// the detail names the factorization and the row.
+    ZeroPivot,
 }
 
 impl AnomalyKind {
@@ -41,6 +45,7 @@ impl AnomalyKind {
             AnomalyKind::Divergence => "divergence",
             AnomalyKind::Stagnation => "stagnation",
             AnomalyKind::CflBreakdown => "cfl_breakdown",
+            AnomalyKind::ZeroPivot => "zero_pivot",
         }
     }
 
@@ -51,6 +56,7 @@ impl AnomalyKind {
             "divergence" => Some(AnomalyKind::Divergence),
             "stagnation" => Some(AnomalyKind::Stagnation),
             "cfl_breakdown" => Some(AnomalyKind::CflBreakdown),
+            "zero_pivot" => Some(AnomalyKind::ZeroPivot),
             _ => None,
         }
     }
@@ -311,6 +317,7 @@ mod tests {
             AnomalyKind::Divergence,
             AnomalyKind::Stagnation,
             AnomalyKind::CflBreakdown,
+            AnomalyKind::ZeroPivot,
         ] {
             assert_eq!(AnomalyKind::from_tag(k.tag()), Some(k));
         }

@@ -156,7 +156,7 @@ impl AdditiveSchwarz {
     ///
     /// `overlap` layers are added through the matrix adjacency (PETSc's
     /// `MatIncreaseOverlap`); each extended submatrix is factored with
-    /// ILU(`opts.fill_level`).
+    /// ILU(`opts.fill_level`).  A zero pivot reports its global row.
     pub fn new(
         a: &CsrMatrix,
         owned_sets: &[Vec<usize>],
@@ -174,7 +174,7 @@ impl AdditiveSchwarz {
         for owned in owned_sets {
             let rows = expand_rows_by_pattern(a, owned, overlap);
             let local = a.extract_principal_submatrix(&rows);
-            let factors = IluFactors::factor(&local, opts)?;
+            let factors = IluFactors::factor(&local, opts).map_err(|e| global_row(e, &rows))?;
             subdomains.push(Subdomain {
                 rows,
                 nowned: owned.len(),
@@ -215,14 +215,22 @@ impl AdditiveSchwarz {
     }
 
     /// Refactor all subdomain matrices from a new global matrix with the
-    /// same pattern.
+    /// same pattern.  A zero pivot reports its global row.
     pub fn refactor(&mut self, a: &CsrMatrix) -> Result<(), IluError> {
         for s in &mut self.subdomains {
             let local = a.extract_principal_submatrix(&s.rows);
-            s.factors.refactor(&local)?;
+            s.factors
+                .refactor(&local)
+                .map_err(|e| global_row(e, &s.rows))?;
         }
         Ok(())
     }
+}
+
+/// `e` with its subdomain row mapped through `rows` to the global row.
+fn global_row(e: IluError, rows: &[usize]) -> IluError {
+    let IluError::ZeroPivot(local) = e;
+    IluError::ZeroPivot(rows[local])
 }
 
 impl Preconditioner for AdditiveSchwarz {

@@ -15,13 +15,13 @@
 //! up to 1.5 for first-order phases).
 
 use crate::gmres::{gmres_with_events, GmresOptions};
-use crate::health::{Anomaly, HealthConfig, HealthMonitor};
+use crate::health::{Anomaly, AnomalyKind, HealthConfig, HealthMonitor};
 use crate::op::{CsrOperator, FdJacobianOperator, PseudoTransientProblem};
 use crate::precond::{AdditiveSchwarz, BlockIluPrecond, IluPrecond, Preconditioner};
 use fun3d_sparse::bcsr::BcsrMatrix;
 use fun3d_sparse::block_ilu::BlockIluFactors;
 use fun3d_sparse::csr::CsrMatrix;
-use fun3d_sparse::ilu::{IluFactors, IluOptions, PrecStorage};
+use fun3d_sparse::ilu::{IluError, IluFactors, IluOptions, PrecStorage};
 use fun3d_sparse::vec_ops::norm2;
 use fun3d_telemetry::events::{EventRecord, EventSink};
 use fun3d_telemetry::Registry;
@@ -213,8 +213,9 @@ pub struct SolveHistory {
     /// Initial residual norm.
     pub initial_residual: f64,
     /// The anomaly that aborted the solve, if the health monitor tripped
-    /// (NaN/Inf residual, divergence, stagnation, or CFL breakdown).  A
-    /// healthy solve — converged or simply out of steps — leaves this `None`.
+    /// (NaN/Inf residual, divergence, stagnation, or CFL breakdown) or a
+    /// preconditioner factorization met a zero pivot.  A healthy solve —
+    /// converged or simply out of steps — leaves this `None`.
     pub anomaly: Option<Anomaly>,
 }
 
@@ -525,15 +526,28 @@ pub fn solve_pseudo_transient_warm<P: PseudoTransientProblem>(
             _ => None,
         };
         if let Some(jac) = jac.as_ref().filter(|_| rebuild_pc) {
-            match pc_cache.as_mut() {
-                Some(BuiltPrecond::Ilu(p)) => p.refactor(jac).expect("ILU refactorization failed"),
+            let built = match pc_cache.as_mut() {
+                Some(BuiltPrecond::Ilu(p)) => p
+                    .refactor(jac)
+                    .map_err(|e| zero_pivot_detail("point ILU refactorization", "row", e)),
                 Some(BuiltPrecond::BlockIlu(p)) => p
                     .refactor(bcsr.expect("block ILU runs assemble a BCSR operator"))
-                    .expect("block ILU refactorization failed"),
-                Some(BuiltPrecond::Schwarz(p)) => {
-                    p.refactor(jac).expect("Schwarz refactorization failed")
-                }
-                None => pc_cache = Some(build_precond(jac, bcsr, opts, warm)),
+                    .map_err(|e| zero_pivot_detail("block ILU(0) refactorization", "block row", e)),
+                Some(BuiltPrecond::Schwarz(p)) => p.refactor(jac).map_err(|e| {
+                    zero_pivot_detail("Schwarz subdomain ILU refactorization", "row", e)
+                }),
+                None => build_precond(jac, bcsr, opts, warm).map(|p| pc_cache = Some(p)),
+            };
+            if let Err(detail) = built {
+                // The step cannot precondition: stop with a typed verdict.
+                let anomaly = Anomaly {
+                    kind: AnomalyKind::ZeroPivot,
+                    step: step as u64,
+                    residual_norm: rnorm,
+                    detail,
+                };
+                abort_with_anomaly(&mut history, anomaly, tel, events);
+                break;
             }
             pc_age = 0;
         }
@@ -670,13 +684,14 @@ pub fn solve_pseudo_transient_warm<P: PseudoTransientProblem>(
 }
 
 /// Build the preconditioner `opts.precond` from the shifted Jacobian, or
-/// from its BCSR form `bcsr` when the run takes block ILU(0).
+/// from its BCSR form `bcsr` when the run takes block ILU(0).  On a zero
+/// pivot, returns the anomaly detail naming the factorization and the row.
 fn build_precond(
     jac: &CsrMatrix,
     bcsr: Option<&BcsrMatrix>,
     opts: &PseudoTransientOptions,
     warm: &WarmStart,
-) -> BuiltPrecond {
+) -> Result<BuiltPrecond, String> {
     if let Some(a) = bcsr.filter(|_| opts.block_ilu().is_some()) {
         // As below: a template with this block pattern skips the split and
         // the level schedules, and clone + refactor is bitwise a fresh
@@ -685,14 +700,14 @@ fn build_precond(
         let factors = match template {
             Some(t) => {
                 let mut f = t.clone();
-                f.refactor(a).expect("block ILU refactorization failed");
-                f
+                f.refactor(a).map(|()| f)
             }
-            None => BlockIluFactors::factor(a).expect("block ILU factorization failed"),
-        };
-        return BuiltPrecond::BlockIlu(Box::new(
+            None => BlockIluFactors::factor(a),
+        }
+        .map_err(|e| zero_pivot_detail("block ILU(0) factorization", "block row", e))?;
+        return Ok(BuiltPrecond::BlockIlu(Box::new(
             BlockIluPrecond::new(factors).with_par(opts.krylov.par),
-        ));
+        )));
     }
     match &opts.precond {
         PrecondSpec::Ilu(ilu) => {
@@ -704,23 +719,31 @@ fn build_precond(
             let factors = match template {
                 Some(t) => {
                     let mut f = t.clone();
-                    f.refactor(jac).expect("ILU refactorization failed");
-                    f
+                    f.refactor(jac).map(|()| f)
                 }
-                None => IluFactors::factor(jac, ilu).expect("ILU factorization failed"),
-            };
-            BuiltPrecond::Ilu(Box::new(IluPrecond::new(factors).with_par(opts.krylov.par)))
+                None => IluFactors::factor(jac, ilu),
+            }
+            .map_err(|e| zero_pivot_detail("point ILU factorization", "row", e))?;
+            Ok(BuiltPrecond::Ilu(Box::new(
+                IluPrecond::new(factors).with_par(opts.krylov.par),
+            )))
         }
         PrecondSpec::Schwarz {
             owned_sets,
             overlap,
             ilu,
             restricted,
-        } => BuiltPrecond::Schwarz(
-            AdditiveSchwarz::new(jac, owned_sets, *overlap, ilu, *restricted)
-                .expect("Schwarz setup failed"),
-        ),
+        } => AdditiveSchwarz::new(jac, owned_sets, *overlap, ilu, *restricted)
+            .map(BuiltPrecond::Schwarz)
+            .map_err(|e| zero_pivot_detail("Schwarz subdomain ILU factorization", "row", e)),
     }
+}
+
+/// The [`AnomalyKind::ZeroPivot`] detail for `factorization`, whose error
+/// counts rows in `unit`s.
+fn zero_pivot_detail(factorization: &str, unit: &str, e: IluError) -> String {
+    let IluError::ZeroPivot(row) = e;
+    format!("{factorization}: zero pivot at {unit} {row}")
 }
 
 /// Parse a fault-injection step index from the environment (CI hooks).
@@ -1157,7 +1180,9 @@ mod tests {
             Some(&bcsr),
             opts,
             &WarmStart::none(),
-        ) {
+        )
+        .unwrap()
+        {
             BuiltPrecond::Ilu(_) => "ilu",
             BuiltPrecond::BlockIlu(_) => "block",
             BuiltPrecond::Schwarz(_) => "schwarz",
@@ -1357,6 +1382,125 @@ mod tests {
             ),
             "anomaly event missing: {evs:?}"
         );
+    }
+
+    /// Zeroes Jacobian row `row` and its timestep diagonal at pseudo-step
+    /// `step`, so that step's preconditioner build meets a zero pivot.
+    /// Steps are counted by `inverse_timestep_scale` calls, one per step.
+    struct ZeroRowAt<P> {
+        inner: P,
+        row: usize,
+        step: usize,
+        calls: std::cell::Cell<usize>,
+    }
+
+    impl<P: PseudoTransientProblem> PseudoTransientProblem for ZeroRowAt<P> {
+        fn n(&self) -> usize {
+            self.inner.n()
+        }
+
+        fn residual(&self, q: &[f64], out: &mut [f64]) {
+            self.inner.residual(q, out);
+        }
+
+        fn jacobian(&self, q: &[f64]) -> CsrMatrix {
+            let mut jac = self.inner.jacobian(q);
+            if self.calls.get() == self.step + 1 {
+                let row = jac.row_ptr()[self.row]..jac.row_ptr()[self.row + 1];
+                jac.values_mut()[row].fill(0.0);
+            }
+            jac
+        }
+
+        fn inverse_timestep_scale(&self, q: &[f64]) -> Vec<f64> {
+            let step = self.calls.replace(self.calls.get() + 1);
+            let mut d = self.inner.inverse_timestep_scale(q);
+            if step == self.step {
+                d[self.row] = 0.0;
+            }
+            d
+        }
+    }
+
+    #[test]
+    fn zero_pivot_stops_the_solve_with_a_typed_anomaly() {
+        let schwarz = PrecondSpec::Schwarz {
+            owned_sets: (0..4)
+                .map(|k| (k * 30 / 4..(k + 1) * 30 / 4).collect())
+                .collect(),
+            overlap: 1,
+            ilu: IluOptions::with_fill(0),
+            restricted: true,
+        };
+        let mut block = default_opts();
+        block.bcsr_block = Some(3);
+        let point = default_opts();
+        let schwarz = PseudoTransientOptions {
+            precond: schwarz,
+            ..default_opts()
+        };
+        // (options, Bratu1d or BlockGrid2d, zeroed row, detail prefix and
+        // the row the detail names)
+        let cases = [
+            (&point, false, 17, "point ILU", "row 17"),
+            (&schwarz, false, 17, "Schwarz subdomain ILU", "row 17"),
+            (&block, true, 10, "block ILU(0)", "block row 3"),
+        ];
+        fn run<P: PseudoTransientProblem>(
+            inner: P,
+            row: usize,
+            step: usize,
+            opts: &PseudoTransientOptions,
+        ) -> (SolveHistory, EventSink) {
+            let mut p = ZeroRowAt {
+                inner,
+                row,
+                step,
+                calls: std::cell::Cell::new(0),
+            };
+            let mut q = vec![0.0; p.n()];
+            let sink = EventSink::enabled();
+            let h = solve_pseudo_transient_with_events(
+                &mut p,
+                &mut q,
+                opts,
+                &Registry::disabled(),
+                &sink,
+            );
+            (h, sink)
+        }
+        for (opts, blocked, row, factorization, at) in cases {
+            for step in [0, 2] {
+                let what = format!("{factorization} at step {step}");
+                let (h, sink) = if blocked {
+                    run(BlockGrid2d::new(6, 5, 3, 0.5), row, step, opts)
+                } else {
+                    run(Bratu1d::new(30, 1.0), row, step, opts)
+                };
+                assert!(!h.converged, "{what}");
+                assert_eq!(
+                    h.nsteps(),
+                    step,
+                    "{what}: the steps end at the failing step"
+                );
+                let anomaly = h.anomaly.unwrap_or_else(|| panic!("{what}: no anomaly"));
+                assert_eq!(anomaly.kind, AnomalyKind::ZeroPivot, "{what}");
+                assert_eq!(anomaly.step, step as u64, "{what}");
+                let build = if step == 0 {
+                    "factorization"
+                } else {
+                    "refactorization"
+                };
+                let detail = format!("{factorization} {build}: zero pivot at {at}");
+                assert_eq!(anomaly.detail, detail, "{what}");
+                assert!(
+                    sink.drain().iter().any(
+                        |e| matches!(e, EventRecord::Anomaly { kind, .. } if kind == "zero_pivot")
+                    ),
+                    "{what}: anomaly event missing"
+                );
+            }
+        }
     }
 
     #[test]

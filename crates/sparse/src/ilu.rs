@@ -25,8 +25,8 @@
 //! its whole column set matches, so one membership mark and one list of
 //! below-node columns serve every row of the node.  The partition is found
 //! once from the symbolic pattern and kept by `refactor` and template
-//! clones.  The numeric elimination and the forward sweep then run one
-//! node at a time:
+//! clones, together with each row's count of in-node U entries.  The
+//! numeric elimination and both sweeps then run one node at a time:
 //!
 //! * *Elimination.*  Phase 1 takes each pivot `k` below the node in
 //!   ascending order, forms every row's multiplier `w_r[k] * inv_diag[k]`,
@@ -37,20 +37,25 @@
 //! * *Forward sweep.*  The node's shared below-node columns feed one
 //!   accumulator per row, with one load of each column index and `x` entry.
 //!   Then each row subtracts its in-node entries in order.
+//! * *Backward sweep.*  The node's shared above-node columns (its last
+//!   row's U row) feed one accumulator per row in the same way.  Then the
+//!   rows, bottom up, subtract their in-node entries in ascending column
+//!   order and scale by their inverted pivots, as PETSc's
+//!   `MatSolve_SeqAIJ_Inode` does.
 //!
 //! Every factor entry still receives its updates in ascending pivot order,
 //! and every forward-sweep row its subtractions in ascending column order,
-//! so the factors and the solves are bitwise those of the row-by-row loops.
-//! A one-row node (segregated or irregular patterns) runs exactly those
-//! loops.  Phase 1 finalizes no pivot, so a zero pivot names the same first
-//! row as the row-by-row elimination.
-//!
-//! The backward sweep keeps its row loop.  Each row of a node subtracts its
-//! in-node columns first, since they are its lowest U columns; the row above
-//! therefore needs the finished value of the row below before it can start,
-//! so the node's rows form one dependency chain.  Sharing the above-node
-//! columns across the rows would have to subtract them first, which changes
-//! the rounding.
+//! so the factors and the forward sweep are bitwise those of the row-by-row
+//! loops.  A backward-sweep row subtracts its above-node columns before its
+//! in-node ones, both ascending.  That is a different summation order from
+//! the ascending row loop, so a node of several rows rounds differently.
+//! On the seed-1 15×8×8 benchmark Jacobians the solves differ by at most
+//! 1.0e-13 (compressible) and 6.1e-14 (incompressible) relative to each
+//! entry, and by 1.2e-16 and 1.5e-16 norm-wise.  The level walk uses the
+//! same per-row order, so it stays bitwise equal to the node sweep.  A
+//! one-row node (segregated or irregular patterns) has no in-node entries
+//! and runs exactly the row-by-row loops.  Phase 1 finalizes no pivot, so a
+//! zero pivot names the same first row as the row-by-row elimination.
 
 use crate::csr::CsrMatrix;
 use crate::par::{DisjointSliceMut, ParCtx};
@@ -222,6 +227,9 @@ pub struct IluFactors {
     /// I-node partition: the first row of each node, then `n`.
     /// Pattern-only, like the level schedules.
     node_ptr: Vec<usize>,
+    /// Per row, how many of its U entries lie in its own I-node: the first
+    /// ones of its U row.  Pattern-only; the level walk reads it.
+    u_in_node: Vec<u8>,
     /// One bit per factor entry, row by row (L, diagonal, U), set where the
     /// factored matrix has the entry: the source pattern a template must
     /// match ([`Self::matches_pattern`]).
@@ -251,10 +259,29 @@ impl IluFactors {
 
     /// The symbolic phase of [`Self::factor`]: the ILU(k) pattern, the level
     /// schedules, the I-node partition and `a`'s pattern, with no values.
+    /// ILU(0) keeps `a`'s pattern plus the diagonal, so it splits each row
+    /// of `a` at the diagonal instead of running the level-of-fill analysis.
     fn analyze(a: &CsrMatrix, fill_level: usize) -> Self {
         assert_eq!(a.nrows(), a.ncols(), "ILU requires a square matrix");
-        let n = a.nrows();
-        let (l_ptr, l_idx, u_ptr, u_idx) = symbolic_iluk(a, fill_level);
+        if fill_level > 0 {
+            return Self::analyze_iluk(a, fill_level);
+        }
+        let (pattern, source) = split_at_diagonal(a);
+        Self::with_pattern(0, pattern, source)
+    }
+
+    /// [`Self::analyze`] through the level-of-fill symbolic factorization.
+    fn analyze_iluk(a: &CsrMatrix, fill_level: usize) -> Self {
+        let mut me = Self::with_pattern(fill_level, symbolic_iluk(a, fill_level), Vec::new());
+        me.source = me.source_bits(a);
+        me
+    }
+
+    /// Factors with no values on the symbolic `pattern`, with its level
+    /// schedules and I-node partition, and the `source` bits of the matrix.
+    fn with_pattern(fill_level: usize, pattern: Pattern, source: Vec<u64>) -> Self {
+        let (l_ptr, l_idx, u_ptr, u_idx) = pattern;
+        let n = l_ptr.len() - 1;
         let l_levels = level_schedule(n, &l_ptr, &l_idx, false);
         let u_levels = level_schedule(n, &u_ptr, &u_idx, true);
         let mut me = Self {
@@ -272,10 +299,15 @@ impl IluFactors {
             l_levels,
             u_levels,
             node_ptr: Vec::new(),
-            source: Vec::new(),
+            u_in_node: vec![0; n],
+            source,
         };
         me.node_ptr = me.inode_partition();
-        me.source = me.source_bits(a);
+        for node in me.node_ptr.windows(2) {
+            for i in node[0]..node[1] {
+                me.u_in_node[i] = (node[1] - 1 - i) as u8;
+            }
+        }
         me
     }
 
@@ -554,10 +586,10 @@ impl IluFactors {
     /// read and written through both sweeps (Section 2.2's
     /// bandwidth-bound loop).
     ///
-    /// This models the row-by-row sweep's index traffic.  The I-node
-    /// forward sweep loads a node's shared column indices once, so it reads
-    /// fewer index bytes than counted here; the model is kept so that rates
-    /// derived from it compare across the two sweeps.
+    /// This models the row-by-row sweeps' index traffic.  The I-node
+    /// forward and backward sweeps load a node's shared column indices
+    /// once, so they read fewer index bytes than counted here; the model is
+    /// kept so that rates derived from it compare across kernels.
     pub fn solve_traffic_bytes(&self) -> f64 {
         let n = self.n as f64;
         let offdiag = (self.l_idx.len() + self.u_idx.len()) as f64;
@@ -605,14 +637,18 @@ impl IluFactors {
                 _ => unreachable!("I-nodes hold 1 to INODE_MAX rows"),
             }
         }
-        // Backward: U x = y.
-        let n = self.n;
-        for i in (0..n).rev() {
-            let mut s = x[i];
-            for k in self.u_ptr[i]..self.u_ptr[i + 1] {
-                s -= uvals[k].widen() * x[self.u_idx[k] as usize];
+        // Backward: U x = y, one I-node at a time, bottom up.
+        let (u_ptr, u_idx) = (&self.u_ptr[..], &self.u_idx[..]);
+        for node in self.node_ptr.windows(2).rev() {
+            let i0 = node[0];
+            match node[1] - i0 {
+                1 => backward_node::<T, 1>(i0, u_ptr, u_idx, uvals, inv_diag, x),
+                2 => backward_node::<T, 2>(i0, u_ptr, u_idx, uvals, inv_diag, x),
+                3 => backward_node::<T, 3>(i0, u_ptr, u_idx, uvals, inv_diag, x),
+                4 => backward_node::<T, 4>(i0, u_ptr, u_idx, uvals, inv_diag, x),
+                5 => backward_node::<T, 5>(i0, u_ptr, u_idx, uvals, inv_diag, x),
+                _ => unreachable!("I-nodes hold 1 to INODE_MAX rows"),
             }
-            x[i] = s * inv_diag[i].widen();
         }
     }
 
@@ -683,16 +719,19 @@ impl IluFactors {
                 }
             });
         }
-        // Backward: U x = y.
+        // Backward: U x = y, each row in the I-node sweep's order: its
+        // above-node columns, then its in-node ones.
         for lev in 0..self.u_levels.nlevels() {
             let rows = self.u_levels.level(lev);
             ctx.parallel_for("ilu_upper", rows.len(), |_, r| {
                 for &iu in &rows[r] {
                     let i = iu as usize;
+                    let (start, end) = (self.u_ptr[i], self.u_ptr[i + 1]);
+                    let split = start + self.u_in_node[i] as usize;
                     // SAFETY: as above, with dependencies pointing upward.
                     unsafe {
                         let mut s = view.get(i);
-                        for k in self.u_ptr[i]..self.u_ptr[i + 1] {
+                        for k in (split..end).chain(start..split) {
                             s -= uvals[k].widen() * view.get(self.u_idx[k] as usize);
                         }
                         view.set(i, s * inv_diag[i].widen());
@@ -754,14 +793,92 @@ fn forward_node<T: WidenToF64, const M: usize>(
     }
 }
 
-/// Level-of-fill symbolic factorization.  Returns the strictly-lower and
-/// strictly-upper patterns (`(l_ptr, l_idx, u_ptr, u_idx)`), rows sorted
-/// ascending.
+/// Backward-sweep (`U x = y`) the `M` rows of the I-node starting at row
+/// `i0`.  Row `i0 + r`'s U row is its `M - 1 - r` in-node entries, then the
+/// node's shared above-node columns (the last row's U row).  Each row
+/// subtracts the shared columns first; then the rows, bottom up, subtract
+/// their in-node entries and scale by their inverted pivots.
+#[inline(always)]
+fn backward_node<T: WidenToF64, const M: usize>(
+    i0: usize,
+    u_ptr: &[usize],
+    u_idx: &[u32],
+    uvals: &[T],
+    inv_diag: &[T],
+    x: &mut [f64],
+) {
+    let last = i0 + M - 1;
+    let above = &u_idx[u_ptr[last]..u_ptr[last + 1]];
+    let na = above.len();
+    let rows: [&[T]; M] = std::array::from_fn(|r| &uvals[u_ptr[i0 + r]..u_ptr[i0 + r + 1]]);
+    // Slices of exactly `na` entries, so the column loop needs no bounds
+    // checks on them (6–17% of the sweep on the benchmark Jacobians).
+    let shared: [&[T]; M] = std::array::from_fn(|r| &rows[r][M - 1 - r..][..na]);
+    let mut s: [f64; M] = std::array::from_fn(|r| x[i0 + r]);
+    for (c, &j) in above.iter().enumerate() {
+        let xj = x[j as usize];
+        for r in 0..M {
+            s[r] -= shared[r][c].widen() * xj;
+        }
+    }
+    for r in (0..M).rev() {
+        for (t, v) in rows[r][..M - 1 - r].iter().enumerate() {
+            s[r] -= v.widen() * x[i0 + r + 1 + t];
+        }
+        x[i0 + r] = s[r] * inv_diag[i0 + r].widen();
+    }
+}
+
+/// A symbolic factor pattern: the strictly-lower and strictly-upper CSR
+/// patterns `(l_ptr, l_idx, u_ptr, u_idx)`, rows sorted ascending.
+type Pattern = (Vec<usize>, Vec<u32>, Vec<usize>, Vec<u32>);
+
+/// ILU(0)'s symbolic pattern: each row of `a` (sorted, as the CSR builders
+/// keep it) split at the diagonal, which the factors always hold.  Also
+/// returns the `source` bits: every factor entry comes from `a`, except a
+/// diagonal that `a` lacks.
+fn split_at_diagonal(a: &CsrMatrix) -> (Pattern, Vec<u64>) {
+    let n = a.nrows();
+    let (mut l_ptr, mut u_ptr) = (Vec::with_capacity(n + 1), Vec::with_capacity(n + 1));
+    let (mut l_idx, mut u_idx) = (Vec::new(), Vec::new());
+    l_ptr.push(0);
+    u_ptr.push(0);
+    let mut no_diagonal = Vec::new();
+    for i in 0..n {
+        let cols = a.row_cols(i);
+        debug_assert!(
+            cols.windows(2).all(|w| w[0] < w[1]),
+            "row {i} is not sorted"
+        );
+        let d = cols.partition_point(|&c| (c as usize) < i);
+        let has_diagonal = cols.get(d) == Some(&(i as u32));
+        l_idx.extend_from_slice(&cols[..d]);
+        u_idx.extend_from_slice(&cols[d + usize::from(has_diagonal)..]);
+        if !has_diagonal {
+            no_diagonal.push(i);
+        }
+        l_ptr.push(l_idx.len());
+        u_ptr.push(u_idx.len());
+    }
+    let nnz = l_idx.len() + u_idx.len() + n;
+    let mut source = vec![u64::MAX; nnz / 64];
+    let tail = nnz % 64;
+    if tail > 0 {
+        source.push((1 << tail) - 1);
+    }
+    for i in no_diagonal {
+        let p = l_ptr[i + 1] + i + u_ptr[i];
+        source[p / 64] &= !(1 << (p % 64));
+    }
+    ((l_ptr, l_idx, u_ptr, u_idx), source)
+}
+
+/// Level-of-fill symbolic factorization: the ILU(k) [`Pattern`].
 ///
 /// Standard ILU(k) level rule: an entry `(i, j)` created while eliminating
 /// pivot `k` gets `level(i,j) = min(level(i,j), level(i,k) + level(k,j) + 1)`
 /// and is kept iff its level is `<= fill`.
-fn symbolic_iluk(a: &CsrMatrix, fill: usize) -> (Vec<usize>, Vec<u32>, Vec<usize>, Vec<u32>) {
+fn symbolic_iluk(a: &CsrMatrix, fill: usize) -> Pattern {
     let n = a.nrows();
     // Retained upper-pattern rows with levels, needed while factoring later rows.
     let mut urows: Vec<Vec<(u32, u16)>> = Vec::with_capacity(n);
@@ -907,7 +1024,7 @@ mod tests {
         norm2(&r)
     }
 
-    /// The row-by-row elimination and forward sweep that the I-node kernels
+    /// The row-by-row elimination and sweeps that the I-node kernels
     /// replaced, kept as their bitwise reference.
     mod reference {
         use super::super::*;
@@ -962,11 +1079,23 @@ mod tests {
             Ok([lvals, uvals, inv_diag])
         }
 
-        /// `x <- U^{-1} L^{-1} x` with the row-by-row forward sweep.
-        pub fn solve_in_place(f: &IluFactors, x: &mut [f64]) {
+        /// Which order the row-by-row backward sweep subtracts a row's U
+        /// entries in.
+        #[derive(Clone, Copy)]
+        pub enum Backward {
+            /// Above-node columns, then in-node ones, each ascending: the
+            /// I-node sweep's order, found here from the node partition.
+            Inode,
+            /// Ascending columns: the sweep before I-node backward sweeps.
+            Ascending,
+        }
+
+        /// `x <- U^{-1} L^{-1} x` with row-by-row sweeps: the forward sweep
+        /// in ascending column order, the backward sweep in `order`.
+        pub fn solve_in_place(f: &IluFactors, x: &mut [f64], order: Backward) {
             match &f.vals {
-                FactorValues::F64 { l, u, inv_diag } => sweeps(f, l, u, inv_diag, x),
-                FactorValues::F32 { l, u, inv_diag } => sweeps(f, l, u, inv_diag, x),
+                FactorValues::F64 { l, u, inv_diag } => sweeps(f, l, u, inv_diag, x, order),
+                FactorValues::F32 { l, u, inv_diag } => sweeps(f, l, u, inv_diag, x, order),
             }
         }
 
@@ -976,6 +1105,7 @@ mod tests {
             uvals: &[T],
             inv_diag: &[T],
             x: &mut [f64],
+            order: Backward,
         ) {
             for i in 0..f.n {
                 let mut s = x[i];
@@ -984,9 +1114,19 @@ mod tests {
                 }
                 x[i] = s;
             }
+            let mut in_node = vec![0; f.n];
+            if let Backward::Inode = order {
+                for node in f.inodes() {
+                    for i in node.clone() {
+                        in_node[i] = node.end - 1 - i;
+                    }
+                }
+            }
             for i in (0..f.n).rev() {
+                let (start, end) = (f.u_ptr[i], f.u_ptr[i + 1]);
+                let split = start + in_node[i];
                 let mut s = x[i];
-                for k in f.u_ptr[i]..f.u_ptr[i + 1] {
+                for k in (split..end).chain(start..split) {
                     s -= uvals[k].widen() * x[f.u_idx[k] as usize];
                 }
                 x[i] = s * inv_diag[i].widen();
@@ -1008,9 +1148,16 @@ mod tests {
         }
     }
 
+    /// Largest norm-wise relative difference [`check_against_reference`]
+    /// allows between the I-node backward order and the ascending one.  The
+    /// test matrices reach 1.5e-16.
+    const BACKWARD_ORDER_TOL: f64 = 1e-14;
+
     /// Factor `a` with the I-node kernels and check the stored values, the
-    /// zero-pivot row and `solve` bit for bit against the row-by-row
-    /// reference.  Returns the factors when `a` factors.
+    /// zero-pivot row, `solve` and the level walk bit for bit against the
+    /// row-by-row reference.  The ascending-order backward sweep must agree
+    /// within [`BACKWARD_ORDER_TOL`] norm-wise, and bit for bit when every
+    /// node has one row.  Returns the factors when `a` factors.
     fn check_against_reference(a: &CsrMatrix, opts: &IluOptions, what: &str) -> Option<IluFactors> {
         let want = reference::eliminate(&IluFactors::analyze(a, opts.fill_level), a);
         let f = match IluFactors::factor(a, opts) {
@@ -1033,9 +1180,29 @@ mod tests {
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() + 0.25).collect();
         let mut x = vec![0.0; n];
         f.solve(&b, &mut x);
-        let mut want = b;
-        reference::solve_in_place(&f, &mut want);
+        let mut want = b.clone();
+        reference::solve_in_place(&f, &mut want, reference::Backward::Inode);
         assert_eq!(bits(&x), bits(&want), "{what}: solve");
+        for nthreads in [1, 2, 3] {
+            let mut levels = b.clone();
+            f.solve_in_place_levels(&mut levels, &ParCtx::new(nthreads));
+            assert_eq!(
+                bits(&levels),
+                bits(&want),
+                "{what}: level walk, {nthreads} threads"
+            );
+        }
+        let mut ascending = b;
+        reference::solve_in_place(&f, &mut ascending, reference::Backward::Ascending);
+        if f.inodes().all(|node| node.len() == 1) {
+            assert_eq!(bits(&x), bits(&ascending), "{what}: one-row nodes");
+        }
+        let diff: Vec<f64> = x.iter().zip(&ascending).map(|(u, v)| u - v).collect();
+        assert!(
+            norm2(&diff) <= BACKWARD_ORDER_TOL * norm2(&ascending),
+            "{what}: ascending order differs by {:.2e}",
+            norm2(&diff) / norm2(&ascending)
+        );
         Some(f)
     }
 
@@ -1455,23 +1622,28 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
-        /// The I-node elimination and forward sweep equal the row-by-row
-        /// reference bit for bit (factor values, zero-pivot rows, solves)
-        /// on every family of [`block_matrix`]: interlaced vertex blocks of
-        /// 1 to 7 rows (6 and 7 split into 5 + 1 and 5 + 2), segregated
-        /// blocks (one-row nodes), rows that share their L columns but not
-        /// their U columns, and empty rows; at fill 0 and 1 in both
-        /// storages.  Every node obeys the node rule and is maximal.
+        /// The I-node elimination and sweeps equal the row-by-row reference
+        /// bit for bit (factor values, zero-pivot rows, solves and level
+        /// walks; see [`check_against_reference`]) on every family of
+        /// [`block_matrix`]: interlaced vertex blocks of 1 to 7 rows (6 and
+        /// 7 split into 5 + 1 and 5 + 2), segregated blocks (one-row
+        /// nodes), rows that share their L columns but not their U columns,
+        /// and empty rows; and on [`dd_matrix`]'s irregular rows; at fill 0
+        /// and 1 in both storages.  Every node obeys the node rule and is
+        /// maximal.
         #[test]
         fn inode_kernels_match_the_row_by_row_reference(
             nv in 1usize..16,
             b in 1usize..8,
-            family in 0usize..3,
+            family in 0usize..4,
             fill in 0usize..2,
             storage in 0usize..2,
             seed in 0u64..1 << 40,
         ) {
-            let a = block_matrix(nv, b, family, seed);
+            let a = match family {
+                3 => dd_matrix(nv * b, seed),
+                _ => block_matrix(nv, b, family, seed),
+            };
             let storage = [PrecStorage::Double, PrecStorage::Single][storage];
             let opts = IluOptions { fill_level: fill, storage };
             let what = format!("nv={nv} b={b} family={family} fill={fill} {storage:?} seed={seed}");
@@ -1491,6 +1663,61 @@ mod tests {
             }
             check_against_reference(&a, &opts, &what);
         }
+
+        /// ILU(0)'s split at the diagonal gives exactly what the
+        /// level-of-fill analysis gives at fill 0 (pattern, source bits,
+        /// level schedules, I-node partition and in-node counts) and the
+        /// same factors or zero-pivot row, on every family of
+        /// [`block_matrix`] (empty rows included), on [`dd_matrix`], and
+        /// with one row's diagonal dropped from the matrix.
+        #[test]
+        fn ilu0_pattern_split_matches_the_level_of_fill_analysis(
+            nv in 1usize..16,
+            b in 1usize..8,
+            family in 0usize..4,
+            drop_diagonal in 0usize..2,
+            row in 0usize..1000,
+            seed in 0u64..1 << 40,
+        ) {
+            let mut a = match family {
+                3 => dd_matrix(nv * b, seed),
+                _ => block_matrix(nv, b, family, seed),
+            };
+            let row = row % a.nrows();
+            if drop_diagonal == 1 {
+                a = without_diagonal(&a, row);
+            }
+            let what = format!("nv={nv} b={b} family={family} drop={drop_diagonal} row={row} seed={seed}");
+            let split = IluFactors::analyze(&a, 0);
+            let iluk = IluFactors::analyze_iluk(&a, 0);
+            proptest::prop_assert!(split.l_pattern() == iluk.l_pattern(), "{}", what);
+            proptest::prop_assert!(split.u_pattern() == iluk.u_pattern(), "{}", what);
+            proptest::prop_assert_eq!(&split.source, &iluk.source, "{}", what);
+            proptest::prop_assert_eq!(&split.node_ptr, &iluk.node_ptr, "{}", what);
+            proptest::prop_assert_eq!(&split.u_in_node, &iluk.u_in_node, "{}", what);
+            for (s, k) in [(&split.l_levels, &iluk.l_levels), (&split.u_levels, &iluk.u_levels)] {
+                proptest::prop_assert!(s.ptr == k.ptr && s.rows == k.rows, "{}", what);
+            }
+            proptest::prop_assert!(split.matches_pattern(&a), "{}", what);
+            let [mut fs, mut fk] = [split, iluk];
+            match (fs.refactor(&a), fk.refactor(&a)) {
+                (Ok(()), Ok(())) => proptest::prop_assert!(value_bits(&fs) == value_bits(&fk), "{}", what),
+                (s, k) => proptest::prop_assert_eq!(s, k, "{}", what),
+            }
+        }
+    }
+
+    /// `a` without its diagonal entry in row `i`.
+    fn without_diagonal(a: &CsrMatrix, i: usize) -> CsrMatrix {
+        let mut t = TripletMatrix::new(a.nrows(), a.ncols());
+        for r in 0..a.nrows() {
+            for (&c, &v) in a.row_cols(r).iter().zip(a.row_vals(r)) {
+                if (r, c as usize) != (i, i) {
+                    t.push(r, c as usize, v);
+                }
+            }
+        }
+        t.to_csr()
     }
 
     proptest::proptest! {

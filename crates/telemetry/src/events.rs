@@ -108,7 +108,7 @@ pub enum EventRecord {
     /// the step where the solve went wrong and why it was aborted.
     Anomaly {
         /// Stable anomaly class tag (`non_finite_residual`, `divergence`,
-        /// `stagnation`, `cfl_breakdown`).
+        /// `stagnation`, `cfl_breakdown`, `zero_pivot`).
         kind: String,
         /// Pseudo-timestep the anomaly was detected at.
         step: u64,
