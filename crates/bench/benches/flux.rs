@@ -2,17 +2,20 @@
 //! Table 1 / Figure 3 — sorted vs vector-colored edges, first vs second
 //! order, interlaced vs segregated fields — for the incompressible model,
 //! plus the compressible first-order residual on the tuned ordering, the
-//! per-vertex wave-speed sums of both models, and Jacobian assembly.
+//! per-vertex wave-speed sums of both models, Jacobian assembly, and one
+//! ΨNKS step's assembly plus pseudo-timestep shift on the benchmark mesh.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fun3d_bench::perturbed_state;
-use fun3d_core::config::apply_orderings;
+use fun3d_core::config::{apply_orderings, LayoutConfig};
+use fun3d_core::EulerProblem;
 use fun3d_euler::field::FieldVec;
 use fun3d_euler::model::FlowModel;
 use fun3d_euler::residual::{Discretization, SpatialOrder};
 use fun3d_mesh::generator::BumpChannelSpec;
 use fun3d_mesh::reorder::{EdgeOrdering, VertexOrdering};
 use fun3d_mesh::tet::TetMesh;
+use fun3d_solver::op::PseudoTransientProblem;
 use fun3d_sparse::layout::FieldLayout;
 
 fn bench_flux(c: &mut Criterion) {
@@ -133,9 +136,36 @@ fn bench_jacobian(c: &mut Criterion) {
     group.finish();
 }
 
+/// One ΨNKS step's Jacobian work on the time-to-solution benchmark's mesh
+/// (15×8×8, seed 1, tuned orderings): assemble, then add the
+/// pseudo-timestep diagonal with `shift_diagonal_by`.
+fn bench_jacobian_shift(c: &mut Criterion) {
+    let layout = LayoutConfig::tuned();
+    let mut spec = BumpChannelSpec::with_dims(15, 8, 8);
+    spec.seed = 1;
+    let mesh = apply_orderings(spec.build(), layout.vertex_ordering, layout.edge_ordering);
+    let mut group = c.benchmark_group("jacobian-shift");
+    for model in [FlowModel::incompressible(), FlowModel::compressible()] {
+        let disc = Discretization::new(&mesh, model, layout.field_layout(), SpatialOrder::First);
+        let problem = EulerProblem::new(disc);
+        let q = perturbed_state(problem.discretization(), 0.01)
+            .as_slice()
+            .to_vec();
+        let d = problem.inverse_timestep_scale(&q);
+        group.bench_function(model_name(model), |b| {
+            b.iter(|| {
+                let mut jac = problem.jacobian(&q);
+                jac.shift_diagonal_by(0.2, &d);
+                jac
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_flux, bench_wavespeed, bench_jacobian
+    targets = bench_flux, bench_wavespeed, bench_jacobian, bench_jacobian_shift
 }
 criterion_main!(benches);

@@ -1,6 +1,7 @@
 //! Criterion micro-bench: sparse matrix-vector product under the storage
 //! choices of Table 1 — point CSR vs block CSR (structural blocking), and
-//! the interlaced vs segregated unknown orderings.
+//! the interlaced vs segregated unknown orderings — plus the per-step BCSR
+//! refill from the point Jacobian.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fun3d_bench::representative_jacobian;
@@ -30,6 +31,10 @@ fn bench_spmv(c: &mut Criterion) {
         });
         group.bench_function(format!("bcsr-b{b}-{tag}"), |bch| {
             bch.iter(|| bcsr.spmv(&x, &mut y))
+        });
+        let mut refilled = bcsr.clone();
+        group.bench_function(format!("bcsr-refill-b{b}-{tag}"), |bch| {
+            bch.iter(|| refilled.refill_from_csr(&csr_i))
         });
     }
     group.finish();

@@ -24,7 +24,7 @@ use crate::field::{FieldVec, Interlaced, Layout, Record, Segregated};
 use crate::gradient::{reconstruct_edge, Gradients};
 use crate::model::{Comp, CompressibleFlux, FlowModel, FluxSplit, IncompressibleFlux, MAX_COMP};
 use fun3d_mesh::tet::{BoundaryKind, TetMesh};
-use fun3d_sparse::csr::CsrMatrix;
+use fun3d_sparse::csr::{CsrMatrix, CsrPattern};
 use fun3d_sparse::layout::FieldLayout;
 use fun3d_sparse::par::ParCtx;
 use std::marker::PhantomData;
@@ -461,17 +461,19 @@ impl<'m> Discretization<'m> {
     /// Full `ncomp x ncomp` blocks are always stored (PETSc BAIJ semantics)
     /// and the pattern never depends on the linearization state, so
     /// pattern-reusing consumers (ILU refactor, BCSR refill) stay valid.
-    /// The pattern is built on the first call; every call then adds each
-    /// contribution straight into its value slot, in loop order (edges,
-    /// viscous edges, boundary faces), so a given `q` always gives the same
-    /// bits.
+    /// The pattern is built and validated on the first call, and every
+    /// returned matrix shares it ([`CsrMatrix::pattern`]): no call after the
+    /// first copies or re-checks it, and the diagonal positions a shift
+    /// finds once serve every later step.  Each call adds each contribution
+    /// straight into its value slot, in loop order (edges, viscous edges,
+    /// boundary faces), so a given `q` always gives the same bits.
     pub fn jacobian(&self, q: &FieldVec) -> CsrMatrix {
         let pat = self
             .jacobian_pattern
             .get_or_init(|| JacobianPattern::new(self.mesh, self.ncomp(), self.layout));
         let mut buf = self.record_buffer();
         let states = self.fill_states(q, &mut buf);
-        let mut vals = vec![0.0; pat.col_idx.len()];
+        let mut vals = vec![0.0; pat.csr.nnz()];
         dispatch!(self, |s: P, L| {
             let k = Kernel::<P, L>::new(s, self, &states);
             k.jacobian_edges(pat, &mut vals);
@@ -480,14 +482,7 @@ impl<'m> Discretization<'m> {
             }
             k.jacobian_boundary(pat, &mut vals);
         });
-        let n_unknowns = self.nunknowns();
-        CsrMatrix::from_raw(
-            n_unknowns,
-            n_unknowns,
-            pat.row_ptr.clone(),
-            pat.col_idx.clone(),
-            vals,
-        )
+        CsrMatrix::from_pattern(&pat.csr, vals)
     }
 
     /// Viscous term of the Jacobian: exact (linear) entries on momentum
@@ -768,8 +763,8 @@ impl<'a, P: FluxSplit, L: Layout> Kernel<'a, P, L> {
 /// columns one vertex row length apart.
 #[derive(Debug)]
 struct JacobianPattern {
-    row_ptr: Vec<usize>,
-    col_idx: Vec<u32>,
+    /// The point-CSR pattern every assembled Jacobian shares.
+    csr: CsrPattern,
     /// Per edge `[a, b]`: offsets of the blocks (a,a), (a,b), (b,a), (b,b).
     edge_blocks: Vec<[usize; 4]>,
     /// Per vertex: offset of its diagonal block.
@@ -855,9 +850,9 @@ impl JacobianPattern {
                 }
             })
             .collect();
+        let n = nv * ncomp;
         Self {
-            row_ptr,
-            col_idx,
+            csr: CsrPattern::new(n, n, row_ptr, col_idx),
             edge_blocks,
             diag_blocks,
             strides,
@@ -1280,7 +1275,7 @@ mod tests {
             let model = &disc.model;
             let pat = JacobianPattern::new(disc.mesh, disc.ncomp(), disc.layout);
             let ncomp = disc.ncomp();
-            let mut vals = vec![0.0; pat.col_idx.len()];
+            let mut vals = vec![0.0; pat.csr.nnz()];
             let add_block =
                 |vals: &mut [f64], v: usize, offset: usize, sign: f64, a: &[f64], extra: f64| {
                     for r in 0..ncomp {
@@ -1692,6 +1687,34 @@ mod tests {
         // Convertible to BCSR with block size 4.
         let b = fun3d_sparse::bcsr::BcsrMatrix::from_csr(&jac, 4);
         assert_eq!(b.nbrows(), mesh.nverts());
+    }
+
+    #[test]
+    fn jacobians_share_one_pattern_and_own_their_values() {
+        let mesh = BumpChannelSpec::with_dims(5, 4, 4).build();
+        for model in both_models() {
+            for layout in [FieldLayout::Interlaced, FieldLayout::Segregated] {
+                let disc = Discretization::new(&mesh, model, layout, SpatialOrder::First);
+                let q = disc.initial_state();
+                let first = disc.jacobian(&q);
+                let mut second = disc.jacobian(&q);
+                assert!(CsrPattern::ptr_eq(first.pattern(), second.pattern()));
+                let mut clone = first.clone();
+                assert!(CsrPattern::ptr_eq(first.pattern(), clone.pattern()));
+                // Values are per matrix: shifting or scaling one leaves the
+                // others as assembled.
+                clone.shift_diagonal(1.0);
+                second.scale(2.0);
+                assert_eq!(disc.jacobian(&q), first);
+                assert_eq!(clone.get(0, 0), first.get(0, 0) + 1.0);
+                assert_eq!(second.get(0, 0), 2.0 * first.get(0, 0));
+                // Another discretization builds an equal pattern of its own.
+                let other = Discretization::new(&mesh, model, layout, SpatialOrder::First);
+                let twin = other.jacobian(&q);
+                assert!(!CsrPattern::ptr_eq(first.pattern(), twin.pattern()));
+                assert_eq!(twin, first);
+            }
+        }
     }
 
     #[test]

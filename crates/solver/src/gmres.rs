@@ -87,6 +87,12 @@ pub fn gmres_with_telemetry<A: LinearOperator + ?Sized, M: Preconditioner + ?Siz
 /// with the enclosing pseudo-timestep `newton_step`.  The residual norm in
 /// each record is the Arnoldi estimate, which with right preconditioning is
 /// the *true* residual norm.
+///
+/// An all-zero initial guess (PETSc's `KSP_GUESS_ZERO`) starts from
+/// `r = b` without applying the operator: every operator here maps a zero
+/// vector to `+0.0` entries when it is finite, and `b - (+0.0)` is `b` bit
+/// for bit, so only the apply is saved.  Restarts recompute the true
+/// residual as usual.
 #[allow(clippy::too_many_arguments)]
 pub fn gmres_with_events<A: LinearOperator + ?Sized, M: Preconditioner + ?Sized>(
     a: &A,
@@ -97,6 +103,24 @@ pub fn gmres_with_events<A: LinearOperator + ?Sized, M: Preconditioner + ?Sized>
     tel: &Registry,
     events: &EventSink,
     newton_step: u64,
+) -> GmresResult {
+    let zero_guess = x.iter().all(|&v| v == 0.0);
+    gmres_cycles(a, m, b, x, opts, tel, events, newton_step, zero_guess)
+}
+
+/// The restarted GMRES cycles of [`gmres_with_events`]; `zero_guess` says
+/// that `x` is all zeros on entry, so the first residual is `b`.
+#[allow(clippy::too_many_arguments)]
+fn gmres_cycles<A: LinearOperator + ?Sized, M: Preconditioner + ?Sized>(
+    a: &A,
+    m: &M,
+    b: &[f64],
+    x: &mut [f64],
+    opts: &GmresOptions,
+    tel: &Registry,
+    events: &EventSink,
+    newton_step: u64,
+    mut zero_guess: bool,
 ) -> GmresResult {
     let _gmres_span = tel.span("gmres");
     // Analytic per-apply traffic, when the operator/preconditioner know it:
@@ -128,15 +152,19 @@ pub fn gmres_with_events<A: LinearOperator + ?Sized, M: Preconditioner + ?Sized>
 
     loop {
         // r = b - A x.
-        {
-            let _g = tel.span("apply");
-            if let Some(bytes) = apply_bytes {
-                tel.counter("bytes", bytes);
+        if std::mem::take(&mut zero_guess) {
+            r.copy_from_slice(b);
+        } else {
+            {
+                let _g = tel.span("apply");
+                if let Some(bytes) = apply_bytes {
+                    tel.counter("bytes", bytes);
+                }
+                a.apply(x, &mut r);
             }
-            a.apply(x, &mut r);
-        }
-        for (ri, bi) in r.iter_mut().zip(b) {
-            *ri = bi - *ri;
+            for (ri, bi) in r.iter_mut().zip(b) {
+                *ri = bi - *ri;
+            }
         }
         let beta = norm2_par(&r, par);
         if beta <= target || total_iters >= opts.max_iters {
@@ -624,5 +652,108 @@ mod tests {
             iters.push(r.iterations);
         }
         assert!(iters[0] < iters[1] && iters[1] < iters[2], "{iters:?}");
+    }
+
+    /// An operator that counts its applications.
+    struct Counting<'a> {
+        inner: &'a dyn LinearOperator,
+        applies: std::cell::Cell<usize>,
+    }
+
+    impl LinearOperator for Counting<'_> {
+        fn n(&self) -> usize {
+            self.inner.n()
+        }
+
+        fn apply(&self, x: &[f64], y: &mut [f64]) {
+            self.applies.set(self.applies.get() + 1);
+            self.inner.apply(x, y);
+        }
+    }
+
+    /// The blocked operator of an assembled blocked solve.
+    struct Bcsr<'a>(&'a fun3d_sparse::bcsr::BcsrMatrix);
+
+    impl LinearOperator for Bcsr<'_> {
+        fn n(&self) -> usize {
+            self.0.nrows()
+        }
+
+        fn apply(&self, x: &[f64], y: &mut [f64]) {
+            self.0.spmv(x, y);
+        }
+    }
+
+    #[test]
+    fn zero_guess_skips_the_first_apply_and_keeps_the_bits() {
+        use crate::op::test_problems::Bratu1d;
+        use crate::op::{FdJacobianOperator, PseudoTransientProblem};
+        let a = laplacian_2d(10);
+        let n = a.nrows();
+        let blocked = fun3d_sparse::bcsr::BcsrMatrix::from_csr(&a, 4);
+        let p = Bratu1d::new(n, 0.5);
+        let q: Vec<f64> = (0..n).map(|i| 0.01 * i as f64).collect();
+        let mut r0 = vec![0.0; n];
+        p.residual(&q, &mut r0);
+        let fd = FdJacobianOperator::new(&p, q, r0, vec![1.0; n]);
+        let csr = CsrOperator::new(&a);
+        let ops: [(&str, &dyn LinearOperator); 3] =
+            [("csr", &csr), ("bcsr", &Bcsr(&blocked)), ("fd", &fd)];
+        let mut b: Vec<f64> = (0..n).map(|i| ((i % 7) as f64 - 3.0) * 0.25).collect();
+        b[5] = -0.0;
+        // A short restart, so later cycles recompute the true residual.
+        let opts = GmresOptions {
+            restart: 8,
+            rtol: 1e-8,
+            max_iters: 120,
+            ..Default::default()
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (name, op) in ops {
+            // `Some(false)`: the cycles as they ran before the zero-guess
+            // path, applying the operator to every initial guess.
+            let run = |x0: &[f64], zero_guess: Option<bool>| {
+                let counted = Counting {
+                    inner: op,
+                    applies: Default::default(),
+                };
+                let mut x = x0.to_vec();
+                let res = match zero_guess {
+                    None => gmres(&counted, &IdentityPrecond, &b, &mut x, &opts),
+                    Some(z) => gmres_cycles(
+                        &counted,
+                        &IdentityPrecond,
+                        &b,
+                        &mut x,
+                        &opts,
+                        &Registry::disabled(),
+                        &EventSink::disabled(),
+                        0,
+                        z,
+                    ),
+                };
+                (res, x, counted.applies.get())
+            };
+            let zero = vec![0.0; n];
+            let (fast, x_fast, n_fast) = run(&zero, None);
+            let (slow, x_slow, n_slow) = run(&zero, Some(false));
+            assert!(slow.iterations > opts.restart, "{name}: {slow:?}");
+            assert_eq!(n_fast + 1, n_slow, "{name}: one apply fewer");
+            assert_eq!(fast.iterations, slow.iterations, "{name}");
+            assert_eq!(
+                fast.residual_norm.to_bits(),
+                slow.residual_norm.to_bits(),
+                "{name}"
+            );
+            assert_eq!(fast.converged, slow.converged, "{name}");
+            assert_eq!(bits(&x_fast), bits(&x_slow), "{name}");
+            // A nonzero guess applies the operator to it, as before.
+            let guess: Vec<f64> = (0..n).map(|i| 0.1 * (i % 3) as f64).collect();
+            let (g, x_g, n_g) = run(&guess, None);
+            let (g_slow, x_g_slow, n_g_slow) = run(&guess, Some(false));
+            assert_eq!(n_g, n_g_slow, "{name}");
+            assert_eq!(g, g_slow, "{name}");
+            assert_eq!(bits(&x_g), bits(&x_g_slow), "{name}");
+        }
     }
 }

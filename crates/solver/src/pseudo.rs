@@ -320,8 +320,9 @@ impl Preconditioner for BuiltPrecond {
 /// fresh factorization.  The BCSR template skips the block-structure merge
 /// (values are rewritten in full by `refill_from_csr`).  A warm solve is
 /// therefore **bitwise identical** to a cold one; templates that do not match
-/// the problem (dimension, fill level, storage, block size, nnz, point or
-/// block pattern) are ignored rather than trusted.
+/// the problem (dimension, fill level, storage, block size, or point or
+/// block pattern; the BCSR template's source point pattern is compared with
+/// the step Jacobian's by content) are ignored rather than trusted.
 #[derive(Debug, Clone, Default)]
 pub struct WarmStart {
     /// Symbolic `ILU(k)` template for [`PrecondSpec::Ilu`]; cloned once and
@@ -333,6 +334,8 @@ pub struct WarmStart {
     pub block_ilu: Option<Arc<BlockIluFactors>>,
     /// Block-structure template for the [`PseudoTransientOptions::bcsr_block`]
     /// operator; cloned once and refilled from the point CSR each step.
+    /// Used only if it was built ([`BcsrMatrix::from_csr`]) from a matrix
+    /// with the step Jacobian's point pattern.
     pub bcsr: Option<Arc<BcsrMatrix>>,
 }
 
@@ -515,10 +518,15 @@ pub fn solve_pseudo_transient_warm<P: PseudoTransientProblem>(
         let pc_span = tel.span("precond");
         let bcsr = match (jac.as_ref().filter(|_| !opts.matrix_free), opts.bcsr_block) {
             (Some(jac), Some(b)) => {
+                // A seeded template built from another point pattern is
+                // discarded, not trusted.  A template whose pattern only
+                // equals the step's adopts the step's, so the content
+                // comparison runs once per solve.
+                let reusable = bcsr_cache
+                    .as_mut()
+                    .is_some_and(|cached| cached.adopt_source_pattern(jac));
                 match &mut bcsr_cache {
-                    // A seeded template whose source pattern disagrees
-                    // (wrong nnz) is discarded, not trusted.
-                    Some(cached) if cached.csr_nnz() == jac.nnz() => cached.refill_from_csr(jac),
+                    Some(cached) if reusable => cached.refill_from_csr(jac),
                     _ => bcsr_cache = Some(BcsrMatrix::from_csr(jac, b)),
                 }
                 bcsr_cache.as_ref()
@@ -1237,12 +1245,44 @@ mod tests {
         }
     }
 
+    /// Solve `make()`'s problem warm from `warm` and cold, and require
+    /// bitwise-identical results: the templates must have been ignored.
+    fn assert_ignored<P: PseudoTransientProblem>(
+        make: impl Fn() -> P,
+        opts: &PseudoTransientOptions,
+        warm: &WarmStart,
+    ) {
+        let mut p = make();
+        let mut q = vec![0.0; p.n()];
+        let h = solve_pseudo_transient_warm(
+            &mut p,
+            &mut q,
+            opts,
+            &Registry::disabled(),
+            &EventSink::disabled(),
+            warm,
+        );
+        assert!(h.converged, "reduction {}", h.reduction());
+        let mut p2 = make();
+        let mut q2 = vec![0.0; p2.n()];
+        let h2 = solve_pseudo_transient(&mut p2, &mut q2, opts);
+        assert_eq!(q, q2, "ignored template must leave results untouched");
+        assert_eq!(h.final_residual.to_bits(), h2.final_residual.to_bits());
+        assert_eq!(h.nsteps(), h2.nsteps());
+        for (a, b) in h.steps.iter().zip(&h2.steps) {
+            assert_eq!(a.residual_norm.to_bits(), b.residual_norm.to_bits());
+            assert_eq!(a.linear_iters, b.linear_iters);
+        }
+    }
+
     #[test]
     fn mismatched_warm_templates_are_ignored() {
         // Wrong fill level, wrong dimension, a point template with the same
-        // n, fill level and storage but a foreign pattern, and BCSR and block
-        // ILU templates with a foreign pattern: all must fall back to the
-        // cold path, not corrupt or panic.
+        // n, fill level and storage but a foreign pattern, BCSR and block
+        // ILU templates with a foreign pattern, and a BCSR template whose
+        // source pattern has the step Jacobian's dimensions, block size and
+        // nnz but other columns: all must fall back to the cold path, not
+        // corrupt or panic.
         let p = Bratu1d::new(30, 1.0);
         let jac = p.jacobian(&vec![0.0; 30]);
         let wrong_fill = IluFactors::factor(&jac, &IluOptions::with_fill(2)).unwrap();
@@ -1303,28 +1343,25 @@ mod tests {
                 },
             ),
         ] {
-            let mut p = Bratu1d::new(30, 1.0);
-            let mut q = vec![0.0; 30];
-            let h = solve_pseudo_transient_warm(
-                &mut p,
-                &mut q,
-                &opts,
-                &Registry::disabled(),
-                &EventSink::disabled(),
-                &warm,
-            );
-            assert!(h.converged, "reduction {}", h.reduction());
-            let mut p2 = Bratu1d::new(30, 1.0);
-            let mut q2 = vec![0.0; 30];
-            let h2 = solve_pseudo_transient(&mut p2, &mut q2, &opts);
-            assert_eq!(q, q2, "ignored template must leave results untouched");
-            assert_eq!(h.final_residual.to_bits(), h2.final_residual.to_bits());
-            assert_eq!(h.nsteps(), h2.nsteps());
-            for (a, b) in h.steps.iter().zip(&h2.steps) {
-                assert_eq!(a.residual_norm.to_bits(), b.residual_norm.to_bits());
-                assert_eq!(a.linear_iters, b.linear_iters);
-            }
+            assert_ignored(|| Bratu1d::new(30, 1.0), &opts, &warm);
         }
+        // The grid's Jacobian with its 30 vertices renumbered v -> 7v mod 30:
+        // same nnz, different pattern.
+        let grid = || BlockGrid2d::new(6, 5, 3, 0.5);
+        let jac = grid().jacobian(&vec![0.0; grid().n()]);
+        let perm: Vec<usize> = (0..jac.nrows())
+            .map(|u| (7 * (u / 3)) % 30 * 3 + u % 3)
+            .collect();
+        let permuted = jac.permute_symmetric(&perm);
+        assert_eq!(permuted.nnz(), jac.nnz());
+        assert_ne!(permuted.col_idx(), jac.col_idx());
+        let mut blocked = default_opts();
+        blocked.bcsr_block = Some(3);
+        let warm = WarmStart {
+            bcsr: Some(Arc::new(BcsrMatrix::from_csr(&permuted, 3))),
+            ..WarmStart::none()
+        };
+        assert_ignored(grid, &blocked, &warm);
     }
 
     #[test]

@@ -7,9 +7,17 @@
 //! array by `b*b` relative to point CSR — the reduction of integer loads and
 //! the register-level reuse of `x` sub-vectors are what Table 1's "Structural
 //! Blocking" column measures.
+//!
+//! A matrix converted with [`BcsrMatrix::from_csr`] keeps a handle to its
+//! source's point pattern and a map from each source value to its block
+//! slot, so a Newton step's new point values are copied straight into the
+//! blocks by [`BcsrMatrix::refill_from_csr`].  Refill accepts only the
+//! source pattern (the same handle, or one with equal contents, which the
+//! matrix then adopts), and skips zeroing the blocks when every stored
+//! block entry has a source value.
 
 use crate::blockspec::{analyze, BlockKernel, BlockStructure, BlockStructureStats};
-use crate::csr::CsrMatrix;
+use crate::csr::{CsrMatrix, CsrPattern};
 use crate::par::ParCtx;
 use std::ops::Range;
 
@@ -31,6 +39,12 @@ pub struct BcsrMatrix {
     /// source CSR matrix, its destination slot in `values` — makes
     /// [`BcsrMatrix::refill_from_csr`] a straight permutation copy.
     csr_value_map: Vec<u32>,
+    /// When built via [`BcsrMatrix::from_csr`]: the source's point pattern,
+    /// the only one [`BcsrMatrix::refill_from_csr`] accepts.
+    csr_source: Option<CsrPattern>,
+    /// Whether `csr_value_map` hits every slot of `values` (no block is
+    /// padded with explicit zeros), so a refill need not zero them first.
+    csr_covers_values: bool,
     /// Micro-kernel tier selected at assembly time (`FUN3D_BLOCK_KERNEL`).
     kernel: BlockKernel,
     /// Repeated-structure analysis, present iff `kernel` is `Batched`.
@@ -73,6 +87,8 @@ impl BcsrMatrix {
             col_idx,
             values,
             csr_value_map: Vec::new(),
+            csr_source: None,
+            csr_covers_values: false,
             kernel,
             structure,
         }
@@ -151,29 +167,63 @@ impl BcsrMatrix {
             }
             row_ptr.push(col_idx.len());
         }
+        // The map covers every slot iff it has one entry per slot and no
+        // two source entries share a slot (a row listing a column twice).
+        let csr_covers_values = csr_value_map.len() == values.len() && {
+            let mut hit = vec![false; values.len()];
+            csr_value_map
+                .iter()
+                .all(|&slot| !std::mem::replace(&mut hit[slot as usize], true))
+        };
         let mut out = Self::from_raw(nbrows, nbcols, b, row_ptr, col_idx, values);
         out.csr_value_map = csr_value_map;
+        out.csr_source = Some(a.pattern().clone());
+        out.csr_covers_values = csr_covers_values;
         out
+    }
+
+    /// Whether `a` has the point pattern this matrix was built from by
+    /// [`BcsrMatrix::from_csr`] — the question to ask before reusing it as
+    /// a structure template for `a`.  A handle to the same pattern answers
+    /// at once; a separately built pattern is compared by content, and on a
+    /// match this matrix adopts `a`'s handle, so later checks against it
+    /// are one pointer comparison.  Always `false` for matrices built from
+    /// raw arrays.
+    pub fn adopt_source_pattern(&mut self, a: &CsrMatrix) -> bool {
+        let Some(source) = &self.csr_source else {
+            return false;
+        };
+        if CsrPattern::ptr_eq(source, a.pattern()) {
+            return true;
+        }
+        let matches = source == a.pattern();
+        if matches {
+            self.csr_source = Some(a.pattern().clone());
+        }
+        matches
     }
 
     /// Refill values from a point CSR matrix with the *same pattern* this
     /// BCSR was built from, without re-deriving the symbolic structure.
     /// This is the per-Newton-step path: the Jacobian pattern is fixed, only
-    /// values change.
+    /// values change.  Every value is copied to its block slot; the blocks
+    /// are zeroed first only when some block entry has no source value.
     ///
     /// # Panics
-    /// Panics if a point entry falls outside the stored block pattern.
+    /// Panics unless `a` has the source pattern
+    /// ([`BcsrMatrix::adopt_source_pattern`]).
     pub fn refill_from_csr(&mut self, a: &CsrMatrix) {
         assert_eq!(a.nrows(), self.nrows(), "refill dimension mismatch");
         assert_eq!(a.ncols(), self.ncols(), "refill dimension mismatch");
-        assert_eq!(
-            a.nnz(),
-            self.csr_value_map.len(),
+        assert!(
+            self.adopt_source_pattern(a),
             "refill requires the pattern this BCSR was built from"
         );
-        self.values.iter_mut().for_each(|v| *v = 0.0);
-        for (k, &slot) in self.csr_value_map.iter().enumerate() {
-            self.values[slot as usize] = a.values()[k];
+        if !self.csr_covers_values {
+            self.values.fill(0.0);
+        }
+        for (&slot, &v) in self.csr_value_map.iter().zip(a.values()) {
+            self.values[slot as usize] = v;
         }
     }
 
@@ -203,15 +253,6 @@ impl BcsrMatrix {
     /// Block size.
     pub fn block_size(&self) -> usize {
         self.b
-    }
-
-    /// Nonzero count of the point-CSR matrix this was built from via
-    /// [`BcsrMatrix::from_csr`] (0 for matrices built from raw arrays).
-    /// [`BcsrMatrix::refill_from_csr`] requires a source with exactly this
-    /// many nonzeros; callers reusing a BCSR as a structure template should
-    /// check it before refilling.
-    pub fn csr_nnz(&self) -> usize {
-        self.csr_value_map.len()
     }
 
     /// Number of block rows.
@@ -568,6 +609,75 @@ mod tests {
         ab.refill_from_csr(&a2);
         let fresh = BcsrMatrix::from_csr(&a2, b);
         assert_eq!(ab, fresh);
+    }
+
+    #[test]
+    fn padded_blocks_are_zeroed_on_refill() {
+        // A point tridiagonal matrix in blocks of 3: every stored block is
+        // partly filled, so refill must zero the padding.
+        let n = 12;
+        let mut t = TripletMatrix::new(n, n);
+        for i in 0..n {
+            t.push(i, i, 2.0 + i as f64);
+            if i > 0 {
+                t.push(i, i - 1, -1.0);
+            }
+            if i + 1 < n {
+                t.push(i, i + 1, -0.5);
+            }
+        }
+        let a1 = t.to_csr();
+        let mut ab = BcsrMatrix::from_csr(&a1, 3);
+        assert!(ab.nnz_blocks() * 9 > a1.nnz());
+        assert!(!ab.csr_covers_values);
+        ab.values_mut().fill(f64::NAN);
+        let mut a2 = a1.clone();
+        a2.scale(-1.5);
+        ab.refill_from_csr(&a2);
+        let fresh = BcsrMatrix::from_csr(&a2, 3);
+        let bits = |m: &BcsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&ab), bits(&fresh));
+        assert_eq!(ab, fresh);
+    }
+
+    /// `a` with its block rows renumbered `v -> 3v mod nb` (`nb` coprime
+    /// with 3): same nnz, another pattern.
+    fn permuted_blocks(a: &CsrMatrix, b: usize) -> CsrMatrix {
+        let nb = a.nrows() / b;
+        let perm: Vec<usize> = (0..a.nrows())
+            .map(|u| (3 * (u / b)) % nb * b + u % b)
+            .collect();
+        a.permute_symmetric(&perm)
+    }
+
+    #[test]
+    fn refill_accepts_only_the_source_pattern() {
+        let a = random_block_matrix(8, 4, 77);
+        let mut ab = BcsrMatrix::from_csr(&a, 4);
+        assert!(ab.csr_covers_values, "dense blocks need no zero fill");
+        // A separately built equal pattern is compared once, then adopted.
+        let twin = random_block_matrix(8, 4, 77);
+        assert!(!CsrPattern::ptr_eq(a.pattern(), twin.pattern()));
+        assert!(ab.adopt_source_pattern(&twin));
+        assert!(CsrPattern::ptr_eq(
+            ab.csr_source.as_ref().unwrap(),
+            twin.pattern()
+        ));
+        // Same dimensions and nnz, other columns: refused.
+        let other = permuted_blocks(&a, 4);
+        assert_eq!(other.nnz(), a.nnz());
+        assert_ne!(other.pattern(), a.pattern());
+        assert!(!ab.adopt_source_pattern(&other));
+        // A matrix built from raw arrays has no source.
+        let mut raw = BcsrMatrix::from_raw(1, 1, 1, vec![0, 1], vec![0], vec![1.0]);
+        assert!(!raw.adopt_source_pattern(&CsrMatrix::identity(1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "refill requires the pattern this BCSR was built from")]
+    fn refill_rejects_another_pattern_with_the_same_nnz() {
+        let a = random_block_matrix(8, 4, 77);
+        BcsrMatrix::from_csr(&a, 4).refill_from_csr(&permuted_blocks(&a, 4));
     }
 
     #[test]

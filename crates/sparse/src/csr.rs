@@ -5,14 +5,124 @@
 //! 2.8M vertices x 5 unknowns = 14M rows) 32-bit indices suffice, and the
 //! integer-load traffic of the index array is itself one of the quantities the
 //! paper's SpMV model accounts for.
+//!
+//! A matrix is a [`CsrPattern`] (dimensions, row pointer, column indices)
+//! plus its own value array.  The pattern is immutable and reference
+//! counted: it is validated once when built, clones of a matrix share it,
+//! and [`CsrMatrix::from_pattern`] puts fresh values on an existing pattern
+//! after checking only their count — the way PETSc assembles every Newton
+//! step into one preallocated matrix.  Values are never shared.  The
+//! pattern also caches each row's diagonal position (PETSc's `a->diag`),
+//! found on the first diagonal shift, so the per-step pseudo-timestep shift
+//! is one pass over the rows instead of a binary search per row.
 
-/// A sparse matrix in compressed sparse row format with `f64` values.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CsrMatrix {
+use std::sync::{Arc, OnceLock};
+
+/// The immutable sparsity pattern of a [`CsrMatrix`]: a cheap handle that
+/// matrices on the same structure share.
+///
+/// Equality compares contents, so patterns built separately from equal
+/// arrays are equal; [`CsrPattern::ptr_eq`] tells whether two handles are
+/// the same pattern.
+#[derive(Debug, Clone)]
+pub struct CsrPattern(Arc<PatternData>);
+
+#[derive(Debug)]
+struct PatternData {
     nrows: usize,
     ncols: usize,
     row_ptr: Vec<usize>,
     col_idx: Vec<u32>,
+    /// Per row: the position of its diagonal entry in `col_idx`, or
+    /// [`NO_DIAG`].  Found on the first diagonal shift, never at
+    /// construction, so patterns that are never shifted pay nothing.
+    diag: OnceLock<Box<[usize]>>,
+}
+
+/// Diagonal-cache marker for a row without a stored diagonal entry.
+const NO_DIAG: usize = usize::MAX;
+
+impl CsrPattern {
+    /// Build a pattern from raw CSR arrays.
+    ///
+    /// # Panics
+    /// Panics if the arrays are inconsistent (wrong lengths, non-monotone row
+    /// pointers, or column indices out of range).
+    pub fn new(nrows: usize, ncols: usize, row_ptr: Vec<usize>, col_idx: Vec<u32>) -> Self {
+        assert_eq!(
+            row_ptr.len(),
+            nrows + 1,
+            "row_ptr must have nrows+1 entries"
+        );
+        assert_eq!(
+            *row_ptr.last().unwrap(),
+            col_idx.len(),
+            "row_ptr end != nnz"
+        );
+        assert!(
+            row_ptr.windows(2).all(|w| w[0] <= w[1]),
+            "row_ptr not monotone"
+        );
+        assert!(
+            col_idx.iter().all(|&c| (c as usize) < ncols),
+            "column index out of range"
+        );
+        Self(Arc::new(PatternData {
+            nrows,
+            ncols,
+            row_ptr,
+            col_idx,
+            diag: OnceLock::new(),
+        }))
+    }
+
+    /// Number of stored entries.
+    pub fn nnz(&self) -> usize {
+        self.0.col_idx.len()
+    }
+
+    /// Whether `a` and `b` are handles to the same pattern (not merely
+    /// equal ones).
+    pub fn ptr_eq(a: &Self, b: &Self) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// Each row's diagonal position in the column-index array, found once
+    /// per pattern by the same binary search within the row that
+    /// [`CsrMatrix::get`] does.
+    fn diag(&self) -> &[usize] {
+        self.0.diag.get_or_init(|| {
+            let d = &*self.0;
+            (0..d.nrows)
+                .map(|i| {
+                    let lo = d.row_ptr[i];
+                    match d.col_idx[lo..d.row_ptr[i + 1]].binary_search(&(i as u32)) {
+                        Ok(k) => lo + k,
+                        Err(_) => NO_DIAG,
+                    }
+                })
+                .collect()
+        })
+    }
+}
+
+impl PartialEq for CsrPattern {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (&*self.0, &*other.0);
+        Self::ptr_eq(self, other)
+            || (a.nrows == b.nrows
+                && a.ncols == b.ncols
+                && a.row_ptr == b.row_ptr
+                && a.col_idx == b.col_idx)
+    }
+}
+
+/// A sparse matrix in compressed sparse row format with `f64` values.
+///
+/// Clones share the pattern and copy the values.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CsrMatrix {
+    pattern: CsrPattern,
     values: Vec<f64>,
 }
 
@@ -39,26 +149,30 @@ impl CsrMatrix {
             values.len(),
             "col_idx/values length mismatch"
         );
+        Self::from_pattern(&CsrPattern::new(nrows, ncols, row_ptr, col_idx), values)
+    }
+
+    /// A matrix with `values` on an existing `pattern`, which it shares:
+    /// only the value count is checked.
+    ///
+    /// # Panics
+    /// Panics if `values` does not hold one value per stored entry.
+    pub fn from_pattern(pattern: &CsrPattern, values: Vec<f64>) -> Self {
         assert_eq!(
-            *row_ptr.last().unwrap(),
-            col_idx.len(),
-            "row_ptr end != nnz"
-        );
-        assert!(
-            row_ptr.windows(2).all(|w| w[0] <= w[1]),
-            "row_ptr not monotone"
-        );
-        assert!(
-            col_idx.iter().all(|&c| (c as usize) < ncols),
-            "column index out of range"
+            pattern.nnz(),
+            values.len(),
+            "col_idx/values length mismatch"
         );
         Self {
-            nrows,
-            ncols,
-            row_ptr,
-            col_idx,
+            pattern: pattern.clone(),
             values,
         }
+    }
+
+    /// The sparsity pattern (shared with clones and with every matrix built
+    /// on it by [`from_pattern`](Self::from_pattern)).
+    pub fn pattern(&self) -> &CsrPattern {
+        &self.pattern
     }
 
     /// An `n x n` identity matrix.
@@ -74,12 +188,12 @@ impl CsrMatrix {
 
     /// Number of rows.
     pub fn nrows(&self) -> usize {
-        self.nrows
+        self.pattern.0.nrows
     }
 
     /// Number of columns.
     pub fn ncols(&self) -> usize {
-        self.ncols
+        self.pattern.0.ncols
     }
 
     /// Number of stored entries.
@@ -89,12 +203,12 @@ impl CsrMatrix {
 
     /// The row pointer array (length `nrows + 1`).
     pub fn row_ptr(&self) -> &[usize] {
-        &self.row_ptr
+        &self.pattern.0.row_ptr
     }
 
     /// The column index array (length `nnz`).
     pub fn col_idx(&self) -> &[u32] {
-        &self.col_idx
+        &self.pattern.0.col_idx
     }
 
     /// The value array (length `nnz`).
@@ -109,12 +223,14 @@ impl CsrMatrix {
 
     /// Column indices of row `i`.
     pub fn row_cols(&self, i: usize) -> &[u32] {
-        &self.col_idx[self.row_ptr[i]..self.row_ptr[i + 1]]
+        let row_ptr = self.row_ptr();
+        &self.col_idx()[row_ptr[i]..row_ptr[i + 1]]
     }
 
     /// Values of row `i`.
     pub fn row_vals(&self, i: usize) -> &[f64] {
-        &self.values[self.row_ptr[i]..self.row_ptr[i + 1]]
+        let row_ptr = self.row_ptr();
+        &self.values[row_ptr[i]..row_ptr[i + 1]]
     }
 
     /// Entry `(i, j)`, or `0.0` when not stored. Binary search within the row
@@ -134,14 +250,15 @@ impl CsrMatrix {
     /// (streamed), the values (streamed), and the gathered entries of `x`
     /// (indexed — the locality-sensitive part).
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols, "spmv x length mismatch");
-        assert_eq!(y.len(), self.nrows, "spmv y length mismatch");
-        for i in 0..self.nrows {
-            let lo = self.row_ptr[i];
-            let hi = self.row_ptr[i + 1];
+        assert_eq!(x.len(), self.ncols(), "spmv x length mismatch");
+        assert_eq!(y.len(), self.nrows(), "spmv y length mismatch");
+        let (row_ptr, col_idx) = (self.row_ptr(), self.col_idx());
+        for i in 0..self.nrows() {
+            let lo = row_ptr[i];
+            let hi = row_ptr[i + 1];
             let mut sum = 0.0;
             for k in lo..hi {
-                sum += self.values[k] * x[self.col_idx[k] as usize];
+                sum += self.values[k] * x[col_idx[k] as usize];
             }
             y[i] = sum;
         }
@@ -153,16 +270,17 @@ impl CsrMatrix {
     /// sequential kernel, so the result is bitwise identical for any thread
     /// count.
     pub fn spmv_par(&self, x: &[f64], y: &mut [f64], ctx: &crate::par::ParCtx) {
-        assert_eq!(x.len(), self.ncols, "spmv x length mismatch");
-        assert_eq!(y.len(), self.nrows, "spmv y length mismatch");
+        assert_eq!(x.len(), self.ncols(), "spmv x length mismatch");
+        assert_eq!(y.len(), self.nrows(), "spmv y length mismatch");
         if ctx.nthreads() == 1 {
             return self.spmv(x, y);
         }
+        let (row_ptr, col_idx) = (self.row_ptr(), self.col_idx());
         ctx.parallel_for_slices("spmv_csr", y, 1, |_, rows, ysub| {
             for (yi, i) in ysub.iter_mut().zip(rows) {
                 let mut sum = 0.0;
-                for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                    sum += self.values[k] * x[self.col_idx[k] as usize];
+                for k in row_ptr[i]..row_ptr[i + 1] {
+                    sum += self.values[k] * x[col_idx[k] as usize];
                 }
                 *yi = sum;
             }
@@ -177,20 +295,21 @@ impl CsrMatrix {
     /// gives the achieved-bandwidth figure the profiler reports.
     pub fn spmv_traffic_bytes(&self) -> f64 {
         let nnz = self.values.len() as f64;
-        let nrows = self.nrows as f64;
+        let nrows = self.nrows() as f64;
         8.0 * nnz + 4.0 * nnz + 8.0 * (nrows + 1.0) + 8.0 * nrows + 8.0 * nrows
     }
 
     /// `y <- y + A x`.
     pub fn spmv_add(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols, "spmv x length mismatch");
-        assert_eq!(y.len(), self.nrows, "spmv y length mismatch");
-        for i in 0..self.nrows {
-            let lo = self.row_ptr[i];
-            let hi = self.row_ptr[i + 1];
+        assert_eq!(x.len(), self.ncols(), "spmv x length mismatch");
+        assert_eq!(y.len(), self.nrows(), "spmv y length mismatch");
+        let (row_ptr, col_idx) = (self.row_ptr(), self.col_idx());
+        for i in 0..self.nrows() {
+            let lo = row_ptr[i];
+            let hi = row_ptr[i + 1];
             let mut sum = y[i];
             for k in lo..hi {
-                sum += self.values[k] * x[self.col_idx[k] as usize];
+                sum += self.values[k] * x[col_idx[k] as usize];
             }
             y[i] = sum;
         }
@@ -202,7 +321,7 @@ impl CsrMatrix {
     /// by this quantity (`beta`).
     pub fn bandwidth(&self) -> usize {
         let mut beta = 0usize;
-        for i in 0..self.nrows {
+        for i in 0..self.nrows() {
             for &c in self.row_cols(i) {
                 beta = beta.max(i.abs_diff(c as usize));
             }
@@ -215,23 +334,21 @@ impl CsrMatrix {
     /// `perm` maps old index -> new index; this is how RCM vertex orderings
     /// are applied to assembled Jacobians.
     pub fn permute_symmetric(&self, perm: &[usize]) -> CsrMatrix {
-        assert_eq!(
-            self.nrows, self.ncols,
-            "symmetric permute needs square matrix"
-        );
-        assert_eq!(perm.len(), self.nrows, "permutation length mismatch");
+        let n = self.nrows();
+        assert_eq!(n, self.ncols(), "symmetric permute needs square matrix");
+        assert_eq!(perm.len(), n, "permutation length mismatch");
         let mut inv = vec![usize::MAX; perm.len()];
         for (old, &new) in perm.iter().enumerate() {
             assert!(new < perm.len(), "permutation value out of range");
             assert!(inv[new] == usize::MAX, "permutation is not a bijection");
             inv[new] = old;
         }
-        let mut row_ptr = Vec::with_capacity(self.nrows + 1);
+        let mut row_ptr = Vec::with_capacity(n + 1);
         let mut col_idx = Vec::with_capacity(self.nnz());
         let mut values = Vec::with_capacity(self.nnz());
         row_ptr.push(0);
         let mut scratch: Vec<(u32, f64)> = Vec::new();
-        for new_i in 0..self.nrows {
+        for new_i in 0..n {
             let old_i = inv[new_i];
             scratch.clear();
             for (k, &c) in self.row_cols(old_i).iter().enumerate() {
@@ -244,39 +361,41 @@ impl CsrMatrix {
             }
             row_ptr.push(col_idx.len());
         }
-        CsrMatrix::from_raw(self.nrows, self.ncols, row_ptr, col_idx, values)
+        CsrMatrix::from_raw(n, n, row_ptr, col_idx, values)
     }
 
     /// Transpose.
     pub fn transpose(&self) -> CsrMatrix {
-        let mut counts = vec![0usize; self.ncols + 1];
-        for &c in &self.col_idx {
+        let (nrows, ncols) = (self.nrows(), self.ncols());
+        let (row_ptr, col_idx_in) = (self.row_ptr(), self.col_idx());
+        let mut counts = vec![0usize; ncols + 1];
+        for &c in col_idx_in {
             counts[c as usize + 1] += 1;
         }
-        for j in 0..self.ncols {
+        for j in 0..ncols {
             counts[j + 1] += counts[j];
         }
         let mut col_idx = vec![0u32; self.nnz()];
         let mut values = vec![0.0; self.nnz()];
         let mut next = counts.clone();
-        for i in 0..self.nrows {
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                let j = self.col_idx[k] as usize;
+        for i in 0..nrows {
+            for k in row_ptr[i]..row_ptr[i + 1] {
+                let j = col_idx_in[k] as usize;
                 let slot = next[j];
                 col_idx[slot] = i as u32;
                 values[slot] = self.values[k];
                 next[j] += 1;
             }
         }
-        CsrMatrix::from_raw(self.ncols, self.nrows, counts, col_idx, values)
+        CsrMatrix::from_raw(ncols, nrows, counts, col_idx, values)
     }
 
     /// Extract the principal submatrix on `rows` (same index set for columns),
     /// renumbering to local indices. Used to build subdomain (Schwarz) blocks.
     /// `rows` need not be sorted; local ordering follows `rows` order.
     pub fn extract_principal_submatrix(&self, rows: &[usize]) -> CsrMatrix {
-        assert_eq!(self.nrows, self.ncols);
-        let mut global_to_local = vec![u32::MAX; self.ncols];
+        assert_eq!(self.nrows(), self.ncols());
+        let mut global_to_local = vec![u32::MAX; self.ncols()];
         for (l, &g) in rows.iter().enumerate() {
             global_to_local[g] = l as u32;
         }
@@ -318,32 +437,32 @@ impl CsrMatrix {
     /// Add `alpha` to each diagonal entry (the entry must exist in the
     /// pattern). Used by pseudo-transient continuation to add `V/dt` terms.
     ///
+    /// The diagonal positions come from the pattern's cache, found on the
+    /// first shift of any matrix on it.
+    ///
     /// # Panics
     /// Panics if some diagonal entry is not in the sparsity pattern.
     pub fn shift_diagonal(&mut self, alpha: f64) {
-        assert_eq!(self.nrows, self.ncols);
-        for i in 0..self.nrows {
-            let lo = self.row_ptr[i];
-            let cols = &self.col_idx[lo..self.row_ptr[i + 1]];
-            match cols.binary_search(&(i as u32)) {
-                Ok(k) => self.values[lo + k] += alpha,
-                Err(_) => panic!("diagonal entry ({i},{i}) missing from pattern"),
+        assert_eq!(self.nrows(), self.ncols());
+        for (i, &k) in self.pattern.diag().iter().enumerate() {
+            if k == NO_DIAG {
+                panic!("diagonal entry ({i},{i}) missing from pattern");
             }
+            self.values[k] += alpha;
         }
     }
 
     /// Add `alpha * d[i]` to diagonal entry `i` (per-row shift, e.g. cell
-    /// volume over timestep).
+    /// volume over timestep), through the same diagonal cache as
+    /// [`shift_diagonal`](Self::shift_diagonal).
     pub fn shift_diagonal_by(&mut self, alpha: f64, d: &[f64]) {
-        assert_eq!(self.nrows, self.ncols);
-        assert_eq!(d.len(), self.nrows);
-        for i in 0..self.nrows {
-            let lo = self.row_ptr[i];
-            let cols = &self.col_idx[lo..self.row_ptr[i + 1]];
-            match cols.binary_search(&(i as u32)) {
-                Ok(k) => self.values[lo + k] += alpha * d[i],
-                Err(_) => panic!("diagonal entry ({i},{i}) missing from pattern"),
+        assert_eq!(self.nrows(), self.ncols());
+        assert_eq!(d.len(), self.nrows());
+        for (i, &k) in self.pattern.diag().iter().enumerate() {
+            if k == NO_DIAG {
+                panic!("diagonal entry ({i},{i}) missing from pattern");
             }
+            self.values[k] += alpha * d[i];
         }
     }
 }
@@ -480,5 +599,124 @@ mod tests {
         assert_eq!(a.frobenius_norm(), 2.0);
         a.scale(3.0);
         assert_eq!(a.frobenius_norm(), 6.0);
+    }
+
+    #[test]
+    fn a_missing_diagonal_panics_after_shifting_the_rows_above_it() {
+        // No (1,1) entry: row 0 is shifted, row 2 is not, as with the
+        // per-row binary search.
+        let a = CsrMatrix::from_raw(3, 3, vec![0, 1, 2, 3], vec![0, 0, 2], vec![1.0, 2.0, 3.0]);
+        for by in [false, true] {
+            let mut b = a.clone();
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if by {
+                    b.shift_diagonal_by(1.0, &[1.0; 3]);
+                } else {
+                    b.shift_diagonal(1.0);
+                }
+            }))
+            .unwrap_err();
+            let msg = err.downcast_ref::<String>().expect("formatted message");
+            assert_eq!(msg, "diagonal entry (1,1) missing from pattern");
+            assert_eq!(b.values(), [2.0, 2.0, 3.0], "by={by}");
+        }
+    }
+
+    #[test]
+    fn clones_share_the_pattern_not_the_values() {
+        let a = small();
+        let mut b = a.clone();
+        assert!(CsrPattern::ptr_eq(a.pattern(), b.pattern()));
+        b.values_mut()[0] = 40.0;
+        b.shift_diagonal(2.0);
+        assert_eq!((a.get(0, 0), a.get(2, 2)), (2.0, 5.0));
+        assert_eq!((b.get(0, 0), b.get(2, 2)), (42.0, 7.0));
+        let c = CsrMatrix::from_pattern(b.pattern(), a.values().to_vec());
+        assert!(CsrPattern::ptr_eq(a.pattern(), c.pattern()));
+        assert_eq!(a, c);
+    }
+
+    #[test]
+    fn matrices_on_separately_built_equal_patterns_compare_equal() {
+        let (a, b) = (small(), small());
+        assert!(!CsrPattern::ptr_eq(a.pattern(), b.pattern()));
+        assert_eq!(a.pattern(), b.pattern());
+        assert_eq!(a, b);
+        let mut c = b.clone();
+        c.values_mut()[1] = 0.5;
+        assert_ne!(a, c);
+        let t = a.transpose();
+        assert_ne!(a.pattern(), t.pattern());
+        assert_ne!(a, t);
+    }
+
+    #[test]
+    #[should_panic(expected = "col_idx/values length mismatch")]
+    fn from_pattern_checks_the_value_count() {
+        CsrMatrix::from_pattern(small().pattern(), vec![1.0; 4]);
+    }
+
+    /// A square matrix on a fresh pattern: a diagonal in every row plus the
+    /// off-diagonal `entries`, each row's columns ascending.
+    fn random_square(n: usize, entries: &[(usize, usize)]) -> CsrMatrix {
+        let mut rows = vec![std::collections::BTreeSet::new(); n];
+        for &(i, j) in entries {
+            rows[i].insert(j as u32);
+        }
+        let mut row_ptr = vec![0];
+        let mut col_idx = Vec::new();
+        for (i, mut row) in rows.into_iter().enumerate() {
+            row.insert(i as u32);
+            col_idx.extend(row);
+            row_ptr.push(col_idx.len());
+        }
+        let values = (0..col_idx.len())
+            .map(|k| ((k * 37 + 11) % 17) as f64 * 0.125 - 1.0)
+            .collect();
+        CsrMatrix::from_raw(n, n, row_ptr, col_idx, values)
+    }
+
+    /// The shifts as a binary search within each row; `d = None` is
+    /// `shift_diagonal`.
+    fn reference_shift(a: &CsrMatrix, values: &mut [f64], alpha: f64, d: Option<&[f64]>) {
+        for i in 0..a.nrows() {
+            let k = a.row_cols(i).binary_search(&(i as u32)).unwrap();
+            values[a.row_ptr()[i] + k] += d.map_or(alpha, |d| alpha * d[i]);
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn cached_shifts_match_the_binary_search_reference(
+            (entries, d) in (1usize..24).prop_flat_map(|n| (
+                proptest::collection::vec((0..n, 0..n), 0..4 * n),
+                proptest::collection::vec(-2.0f64..2.0, n..n + 1),
+            )),
+            alpha in -3.0f64..3.0,
+            beta in -3.0f64..3.0,
+        ) {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let n = d.len();
+            let a = random_square(n, &entries);
+            let mut want = a.values().to_vec();
+            reference_shift(&a, &mut want, alpha, None);
+            reference_shift(&a, &mut want, beta, Some(&d));
+            // The first shift fills the cache, the second reads it.
+            let mut got = a.clone();
+            got.shift_diagonal(alpha);
+            got.shift_diagonal_by(beta, &d);
+            prop_assert_eq!(bits(got.values()), bits(&want));
+            // Another matrix on the pattern reads the filled cache.
+            let mut again = CsrMatrix::from_pattern(a.pattern(), a.values().to_vec());
+            again.shift_diagonal(alpha);
+            again.shift_diagonal_by(beta, &d);
+            prop_assert_eq!(bits(again.values()), bits(&want));
+            // The shifted matrices' values are their own.
+            prop_assert_eq!(a, random_square(n, &entries));
+        }
     }
 }
