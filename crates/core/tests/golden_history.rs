@@ -5,7 +5,8 @@
 //! block ILU(0) on the same blocks, GMRES(20)) and the compressible
 //! matrix-free solve with point ILU(0) refreshed every 4th step on a
 //! 2-thread team.  The compressible
-//! solve also runs on the benchmark's own 15×8×8 mesh.  The distributed
+//! solve also runs on the benchmark's own 15×8×8 mesh, and assembled in
+//! 5×5 blocks with block ILU(0) refactored every step.  The distributed
 //! solve (`solve_parallel_nks`, point ILU(1) subdomain factors) runs on 4
 //! ranks.  Each test checks the step count, every step's Krylov iterations
 //! and the bits of every residual norm (the initial one first) against the
@@ -292,6 +293,62 @@ fn compressible_matrix_free_benchmark_mesh_history_is_pinned() {
         &compressible_options(),
     );
     check("compressible matrix-free 15x8x8", &h, ITERS, RESIDUAL_BITS);
+}
+
+/// The compressible solve on an assembled Jacobian in 5×5 blocks: block
+/// ILU(0) refactored every step on a 2-thread team.  This pins the b = 5
+/// block kernels (SpMV, elimination, sweeps) at solve level, as the tuned
+/// incompressible history pins b = 4.
+#[test]
+fn compressible_blocked_history_is_pinned() {
+    const ITERS: &[usize] = &[
+        2, 2, 3, 4, 6, 7, 6, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 8, 9, 9, 9, 9,
+        9, 9, 9, 9, 9,
+    ];
+    const RESIDUAL_BITS: &[u64] = &[
+        0x3fb4cfb6b12974e4,
+        0x3fab65a25268576a,
+        0x3f9f29a4f0c2c539,
+        0x3f8df857e666bc3c,
+        0x3f77337fc191ed2a,
+        0x3f688a9c56a1b0b7,
+        0x3f6ab935901b302d,
+        0x3f6b59fad6f8f1a8,
+        0x3f6b52e3b5ff5ae0,
+        0x3f6b175326c1f27e,
+        0x3f6ac07618422f59,
+        0x3f6a5196c12053d2,
+        0x3f69c9c7885fb585,
+        0x3f6927653bdf7828,
+        0x3f686b3370739b5a,
+        0x3f678e5a63394c0c,
+        0x3f6690d549291b26,
+        0x3f6570c272d53bc6,
+        0x3f642be2a5ad6bbe,
+        0x3f62bfe73170891c,
+        0x3f612a895f3e8122,
+        0x3f5ed3a3e250339d,
+        0x3f5af90e08a92121,
+        0x3f56c6bc0309206f,
+        0x3f524699ab043e68,
+        0x3f4b2ca425d68f47,
+        0x3f42011bbbccbb60,
+        0x3f3464dad9ed75d9,
+        0x3f23b823f852694f,
+        0x3f0957bf47eafe57,
+        0x3ed23c3a126f43a2,
+        0x3e99e1aa27823b26,
+        0x3e6bf809792807f4,
+        0x3e3f49fc54ffd000,
+        0x3e118df5a3de51a6,
+        0x3de3b4d5163adf68,
+    ];
+    let mut opts = compressible_options();
+    opts.matrix_free = false;
+    opts.bcsr_block = Some(5);
+    opts.pc_refresh = 1;
+    let h = solve((6, 5, 4), FlowModel::compressible(), &opts);
+    check("compressible blocked b=5 6x5x4", &h, ITERS, RESIDUAL_BITS);
 }
 
 /// The distributed solve on 4 ranks: the 8×6×6 incompressible mesh (seed
