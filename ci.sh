@@ -115,13 +115,15 @@ grep -q "regressions: 0" "$smoke_dir/diff-t2.log"
 
 # Profiling leg: the smoke suite with per-thread region profiling on at 2
 # threads.  The spmv run must emit ParRegion events, achieved-bandwidth
-# (gbps) metrics, and a renderable `fun3d-report profile` view with both
-# the imbalance and roofline tables.
+# (gbps) metrics for the BCSR SpMV and the block ILU(0) sweep, and a
+# renderable `fun3d-report profile` view with both the imbalance and
+# roofline tables.
 ./target/release/fun3d-bench run --suite smoke --threads 2 --profile \
     --events-dir "$smoke_dir/runs-prof" > "$smoke_dir/gate-prof.log"
 grep -q "overall:" "$smoke_dir/gate-prof.log"
 grep -q '"ev":"par_region"' "$smoke_dir/runs-prof/spmv.events.jsonl"
-grep -q 'gbps' "$smoke_dir/runs-prof/spmv.json"
+grep -q '"spmv/bcsr:gbps"' "$smoke_dir/runs-prof/spmv.json"
+grep -q '"spmv/bilu:gbps"' "$smoke_dir/runs-prof/spmv.json"
 grep -q '"par/spmv_csr"' "$smoke_dir/runs-prof/spmv.json"
 ./target/release/fun3d-report profile "$smoke_dir/runs-prof/spmv.json" \
     > "$smoke_dir/profile.log"
@@ -133,35 +135,6 @@ grep -q "spmv_csr" "$smoke_dir/profile.log"
 ./target/release/fun3d-report show "$smoke_dir/runs-prof/spmv.json" > "$smoke_dir/show-prof.log"
 grep -q "Parallel regions (2 threads)" "$smoke_dir/show-prof.log"
 ! grep -q "Parallel regions" "$smoke_dir/show.log"
-
-# Micro-kernel identity leg: the Newton solve must produce bit-identical
-# residual histories under all three FUN3D_BLOCK_KERNEL tiers (the JSON
-# float encoding is shortest-round-trip, so string equality is bit
-# equality), and the blockspec experiment must print a >1.0x batched
-# speedup verdict — the tiers are only worth shipping if they pay.
-for k in generic fixed batched; do
-    FUN3D_BLOCK_KERNEL=$k ./target/release/table1 --scale 0.05 --steps 2 \
-        --threads 2 --quiet --json "$smoke_dir/kern-$k.json" \
-        --events "$smoke_dir/kern-$k.events.jsonl" > /dev/null
-    grep -o '"residual_norm":[^,}]*' "$smoke_dir/kern-$k.events.jsonl" \
-        > "$smoke_dir/resid-$k.txt"
-done
-[ -s "$smoke_dir/resid-generic.txt" ] \
-    || { echo "ci: kernel-identity leg recorded no residual norms"; exit 1; }
-cmp -s "$smoke_dir/resid-generic.txt" "$smoke_dir/resid-fixed.txt" \
-    || { echo "ci: fixed kernel residuals diverged from generic"; exit 1; }
-cmp -s "$smoke_dir/resid-generic.txt" "$smoke_dir/resid-batched.txt" \
-    || { echo "ci: batched kernel residuals diverged from generic"; exit 1; }
-./target/release/blockspec --scale 0.15 --threads 2 \
-    --json "$smoke_dir/blockspec.json" > "$smoke_dir/blockspec.log"
-grep -q "blockspec verdict: batched pays off" "$smoke_dir/blockspec.log" \
-    || { echo "ci: batched kernels show no speedup over generic"; exit 1; }
-grep -q '"spmv_bcsr:gbps"' "$smoke_dir/blockspec.json"
-grep -q '"bilu_sweep:gbps"' "$smoke_dir/blockspec.json"
-./target/release/fun3d-report profile "$smoke_dir/blockspec.json" \
-    > "$smoke_dir/blockspec-profile.log"
-grep -q "Repeated block structure" "$smoke_dir/blockspec-profile.log"
-grep -q "template hit rate" "$smoke_dir/blockspec-profile.log"
 
 # The overhead checks below share one sampling scheme: `check_overhead N
 # sampler flag...` runs `sampler` (off) and `sampler flag...` (on) N times

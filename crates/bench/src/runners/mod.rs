@@ -6,7 +6,6 @@
 //! harness builds its suites from.
 
 pub mod ablations;
-pub mod blockspec;
 pub mod figure1;
 pub mod figure2;
 pub mod figure3;
@@ -31,7 +30,6 @@ use crate::Experiment;
 pub fn all() -> Vec<Box<dyn Experiment>> {
     vec![
         Box::new(ablations::Ablations),
-        Box::new(blockspec::Blockspec),
         Box::new(figure1::Figure1),
         Box::new(figure2::Figure2),
         Box::new(figure3::Figure3),
@@ -86,7 +84,7 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(names, sorted, "registry must be sorted and duplicate-free");
-        assert_eq!(names.len(), 19);
+        assert_eq!(names.len(), 18);
     }
 
     #[test]

@@ -295,16 +295,6 @@ fn bandwidth_spans(r: &PerfReport) -> Vec<&fun3d_telemetry::SpanRow> {
         .collect()
 }
 
-/// Spans recording a repeated-block-structure analysis (a `hit_rate`
-/// counter alongside `templates`/`batches`): the micro-kernel batching
-/// telemetry the `blockspec` experiment and the BCSR assembly path emit.
-fn structure_spans(r: &PerfReport) -> Vec<&fun3d_telemetry::SpanRow> {
-    r.spans
-        .iter()
-        .filter(|s| s.counter("hit_rate").is_some() && s.counter("templates").is_some())
-        .collect()
-}
-
 /// Region label for A/B matching: the `par/` prefix and the `@n{k}`
 /// team-size disambiguator both stripped.
 fn region_label(path: &str) -> &str {
@@ -328,8 +318,7 @@ pub fn render_profile(run: &LoadedRun, other: Option<&LoadedRun>) -> String {
 
     let regions = region_spans(r);
     let bw = bandwidth_spans(r);
-    let structure = structure_spans(r);
-    if regions.is_empty() && bw.is_empty() && structure.is_empty() {
+    if regions.is_empty() && bw.is_empty() {
         out.push_str(
             "\nno profile data in this report: rerun with --profile (or FUN3D_PROFILE=1)\n\
              to record per-thread region timings and byte-traffic counters.\n",
@@ -411,40 +400,6 @@ pub fn render_profile(run: &LoadedRun, other: Option<&LoadedRun>) -> String {
                 "\nno stream_triad_bytes_per_s metric in this report; % of STREAM omitted.\n",
             ),
         }
-    }
-
-    if !structure.is_empty() {
-        out.push_str("\n## Repeated block structure (micro-kernel batching)\n\n");
-        let rows: Vec<Vec<String>> = structure
-            .iter()
-            .map(|s| {
-                vec![
-                    s.path.clone(),
-                    format!("{:.0}", s.counter("templates").unwrap_or(0.0)),
-                    format!("{:.0}", s.counter("batches").unwrap_or(0.0)),
-                    format!("{:.1}%", 100.0 * s.counter("hit_rate").unwrap_or(0.0)),
-                    format!("{:.1}", s.counter("mean_batch_len").unwrap_or(0.0)),
-                    format!("{:.0}", s.counter("max_batch_len").unwrap_or(0.0)),
-                ]
-            })
-            .collect();
-        render_table(
-            &mut out,
-            &[
-                "structure",
-                "templates",
-                "batches",
-                "template hit rate",
-                "mean batch",
-                "max batch",
-            ],
-            &rows,
-        );
-        out.push_str(
-            "\nhit rate = fraction of block rows sharing a structure template with at\n\
-             least one other row; those rows stream through the batched kernel without\n\
-             per-row index loads.\n",
-        );
     }
 
     if let Some(o) = other {
@@ -1889,34 +1844,6 @@ mod tests {
         assert!(text.contains("15.00"), "{text}");
         assert!(text.contains("75%"), "{text}");
         assert!(text.contains("1.12"), "{text}");
-    }
-
-    #[test]
-    fn profile_renders_structure_table_when_present() {
-        use fun3d_telemetry::TimeDomain;
-        let m = TimeDomain::Measured;
-        let tel = Registry::enabled(0);
-        tel.record_span("blockspec/structure_b5", m, 1e-6, 1);
-        tel.counter_at("blockspec/structure_b5", m, "templates", 12.0);
-        tel.counter_at("blockspec/structure_b5", m, "batches", 230.0);
-        tel.counter_at("blockspec/structure_b5", m, "hit_rate", 0.987);
-        tel.counter_at("blockspec/structure_b5", m, "mean_batch_len", 5.1);
-        tel.counter_at("blockspec/structure_b5", m, "max_batch_len", 41.0);
-        let run = LoadedRun {
-            path: "blockspec.json".into(),
-            report: PerfReport::new("blockspec").with_snapshot(&tel.snapshot()),
-            events: EventStream::default(),
-            metrics: Default::default(),
-        };
-        let text = render_profile(&run, None);
-        assert!(text.contains("Repeated block structure"), "{text}");
-        assert!(text.contains("template hit rate"), "{text}");
-        assert!(text.contains("98.7%"), "{text}");
-        assert!(text.contains("5.1"), "{text}");
-        assert!(text.contains("41"), "{text}");
-        // Without structure spans the section is absent.
-        let plain = profiled_run(2);
-        assert!(!render_profile(&plain, None).contains("Repeated block structure"));
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub fn suite(name: &str) -> Option<Vec<SuiteEntry>> {
         "smoke" => Some(vec![
             SuiteEntry::new("stream", 0.05, 1, 1, 0),
             SuiteEntry::new("spmv", 0.1, 1, 1, 0),
-            SuiteEntry::new("blockspec", 0.05, 1, 1, 0),
             SuiteEntry::new("table1", 0.05, 2, 1, 0),
             SuiteEntry::new("figure1", 1.0, 1, 1, 0),
             SuiteEntry::new("miss_bounds", 0.1, 1, 1, 0),
@@ -55,7 +54,6 @@ pub fn suite(name: &str) -> Option<Vec<SuiteEntry>> {
         "quick" => Some(vec![
             SuiteEntry::new("stream", 0.5, 1, 3, 1),
             SuiteEntry::new("spmv", 0.25, 1, 3, 1),
-            SuiteEntry::new("blockspec", 0.15, 1, 3, 1),
             SuiteEntry::new("table1", 0.1, 3, 3, 0),
             SuiteEntry::new("figure1", 1.0, 1, 3, 0),
             SuiteEntry::new("figure2", 1.0, 1, 3, 0),

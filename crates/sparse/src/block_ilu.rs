@@ -8,9 +8,14 @@
 //! triangular solves contain no division (and touch one `u32` index per
 //! block instead of per entry — the integer-load reduction Table 1's
 //! "Structural Blocking" column buys in the solve phase).
+//!
+//! As for [`BcsrMatrix`] SpMV, the block size alone picks the kernels:
+//! const-`B` elimination for `b` = 2..=5 and const-`B` sweeps and level
+//! walks for `b` = 1..=5, the runtime-`b` loops otherwise.  Both shapes
+//! compute bitwise-identical factors and solutions, so the runtime-`b`
+//! loops are also the reference the unit tests compare the others with.
 
 use crate::bcsr::BcsrMatrix;
-use crate::blockspec::{analyze, BlockKernel, BlockStructure, BlockStructureStats};
 use crate::dense::{
     block_gemm, block_gemm_b, block_gemm_sub, block_gemm_sub_b, block_gemv_b, block_gemv_sub,
     block_gemv_sub_b, lu_factor, lu_invert, lu_invert_b,
@@ -19,7 +24,7 @@ use crate::ilu::{level_schedule, IluError, LevelSchedule};
 use crate::par::{DisjointSliceMut, ParCtx};
 
 /// A block ILU(0) factorization of a BCSR matrix.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockIluFactors {
     /// Block size.
     b: usize,
@@ -41,30 +46,21 @@ pub struct BlockIluFactors {
     /// computed once at factor time, widest level included).
     l_levels: LevelSchedule,
     u_levels: LevelSchedule,
-    /// Micro-kernel tier the sweeps dispatch to (inherited from the matrix
-    /// at factor time, i.e. ultimately from `FUN3D_BLOCK_KERNEL`).
-    kernel: BlockKernel,
-    /// Repeated-structure analysis of the L / U patterns, present iff
-    /// `kernel` is `Batched`.  The sequential sweeps stream over the
-    /// batches; the level-scheduled parallel sweeps use the fixed kernels
-    /// (level order destroys row contiguity) but share the telemetry.
-    l_structure: Option<BlockStructure>,
-    u_structure: Option<BlockStructure>,
 }
 
 impl BlockIluFactors {
-    /// Factor a square BCSR matrix with zero block fill (the pattern of `A`),
-    /// inheriting the matrix's micro-kernel tier for the sweeps.
+    /// Factor a square BCSR matrix with zero block fill (the pattern of `A`).
     ///
     /// Returns [`IluError::ZeroPivot`] (with the *block row* index) when a
     /// diagonal block is singular.
     pub fn factor(a: &BcsrMatrix) -> Result<Self, IluError> {
-        Self::factor_with_kernel(a, a.kernel())
+        let mut me = Self::symbolic(a)?;
+        me.eliminate(a)?;
+        Ok(me)
     }
 
-    /// [`Self::factor`] with an explicit micro-kernel tier for the sweeps
-    /// and the numeric elimination.
-    pub fn factor_with_kernel(a: &BcsrMatrix, kernel: BlockKernel) -> Result<Self, IluError> {
+    /// The split pattern and level schedules of `a`, with zero values.
+    fn symbolic(a: &BcsrMatrix) -> Result<Self, IluError> {
         assert_eq!(a.nbrows(), a.nbcols(), "block ILU needs a square matrix");
         let b = a.block_size();
         let bb = b * b;
@@ -91,10 +87,7 @@ impl BlockIluFactors {
 
         let l_levels = level_schedule(nb, &l_ptr, &l_idx, false);
         let u_levels = level_schedule(nb, &u_ptr, &u_idx, true);
-        let batched = kernel == BlockKernel::Batched;
-        let l_structure = batched.then(|| analyze(&l_ptr, &l_idx));
-        let u_structure = batched.then(|| analyze(&u_ptr, &u_idx));
-        let mut me = Self {
+        Ok(Self {
             b,
             nb,
             l_vals: vec![0.0; l_idx.len() * bb],
@@ -106,19 +99,13 @@ impl BlockIluFactors {
             u_idx,
             l_levels,
             u_levels,
-            kernel,
-            l_structure,
-            u_structure,
-        };
-        me.eliminate(a)?;
-        Ok(me)
+        })
     }
 
     /// Refactor from a new matrix with this factor's block pattern, keeping
-    /// the split pattern, the level schedules, the batch analysis and the
-    /// kernel tier: only the numeric block elimination reruns, so the
-    /// result is bitwise identical to a fresh [`Self::factor_with_kernel`]
-    /// with this tier.  This is the per-step path of a blocked ΨNKS solve.
+    /// the split pattern and the level schedules: only the numeric block
+    /// elimination reruns, so the result is bitwise identical to a fresh
+    /// [`Self::factor`].  This is the per-step path of a blocked ΨNKS solve.
     ///
     /// Returns [`IluError::ZeroPivot`] (with the block row) when a diagonal
     /// block is singular; the factor values are then unspecified until the
@@ -161,22 +148,10 @@ impl BlockIluFactors {
         &self.u_idx[self.u_ptr[i]..self.u_ptr[i + 1]]
     }
 
-    /// Load `a`'s blocks into the split storage (the diagonal into
-    /// `inv_diag`, inverted in place as each row finishes) and run the block
-    /// IKJ elimination on the tier's kernels.
+    /// Load `a`'s blocks and run the block IKJ elimination on the kernels
+    /// for this block size.
     fn eliminate(&mut self, a: &BcsrMatrix) -> Result<(), IluError> {
-        let bb = self.b * self.b;
-        for i in 0..self.nb {
-            let src = &a.values()[a.row_ptr()[i] * bb..a.row_ptr()[i + 1] * bb];
-            let (nl, nu) = (self.l_row(i).len() * bb, self.u_row(i).len() * bb);
-            self.l_vals[self.l_ptr[i] * bb..self.l_ptr[i + 1] * bb].copy_from_slice(&src[..nl]);
-            self.inv_diag[i * bb..(i + 1) * bb].copy_from_slice(&src[nl..nl + bb]);
-            self.u_vals[self.u_ptr[i] * bb..self.u_ptr[i + 1] * bb]
-                .copy_from_slice(&src[nl + bb..nl + bb + nu]);
-        }
-        if self.kernel == BlockKernel::Generic {
-            return self.eliminate_generic();
-        }
+        self.load(a);
         match self.b {
             4 => self.eliminate_b::<4>(),
             5 => self.eliminate_b::<5>(),
@@ -186,9 +161,24 @@ impl BlockIluFactors {
         }
     }
 
-    /// Runtime-`b` block IKJ elimination restricted to the existing pattern
-    /// — the scalar baseline tier, which finds target blocks by binary
-    /// search.
+    /// Copy `a`'s blocks into the split storage, the diagonal into
+    /// `inv_diag` (which the elimination inverts in place as each row
+    /// finishes).
+    fn load(&mut self, a: &BcsrMatrix) {
+        let bb = self.b * self.b;
+        for i in 0..self.nb {
+            let src = &a.values()[a.row_ptr()[i] * bb..a.row_ptr()[i + 1] * bb];
+            let (nl, nu) = (self.l_row(i).len() * bb, self.u_row(i).len() * bb);
+            self.l_vals[self.l_ptr[i] * bb..self.l_ptr[i + 1] * bb].copy_from_slice(&src[..nl]);
+            self.inv_diag[i * bb..(i + 1) * bb].copy_from_slice(&src[nl..nl + bb]);
+            self.u_vals[self.u_ptr[i] * bb..self.u_ptr[i + 1] * bb]
+                .copy_from_slice(&src[nl + bb..nl + bb + nu]);
+        }
+    }
+
+    /// Runtime-`b` block IKJ elimination restricted to the existing pattern,
+    /// which finds target blocks by binary search: the path for `b` = 1 and
+    /// `b > 5`, and the tests' reference.
     fn eliminate_generic(&mut self) -> Result<(), IluError> {
         let b = self.b;
         let bb = b * b;
@@ -259,11 +249,10 @@ impl BlockIluFactors {
         Ok(())
     }
 
-    /// Const-`B` twin of [`Self::eliminate_generic`] for the fixed and
-    /// batched tiers: the same updates in the same order on the const
-    /// kernels (bitwise identical), with row i's target blocks found
-    /// through a per-row position map instead of a binary search, and no
-    /// allocation beyond the map.
+    /// Const-`B` twin of [`Self::eliminate_generic`]: the same updates in
+    /// the same order on the const kernels (bitwise identical), with row
+    /// i's target blocks found through a per-row position map instead of a
+    /// binary search, and no allocation beyond the map.
     fn eliminate_b<const B: usize>(&mut self) -> Result<(), IluError> {
         const NONE: u32 = u32::MAX;
         let bb = B * B;
@@ -325,20 +314,6 @@ impl BlockIluFactors {
         Ok(())
     }
 
-    /// The micro-kernel tier the triangular sweeps dispatch to.
-    pub fn kernel(&self) -> BlockKernel {
-        self.kernel
-    }
-
-    /// Repeated-structure statistics of the (lower, upper) sweep patterns;
-    /// `None` unless the `Batched` tier is selected.
-    pub fn structure_stats(&self) -> Option<(BlockStructureStats, BlockStructureStats)> {
-        match (&self.l_structure, &self.u_structure) {
-            (Some(l), Some(u)) => Some((l.stats(), u.stats())),
-            _ => None,
-        }
-    }
-
     /// Block size.
     pub fn block_size(&self) -> usize {
         self.b
@@ -374,13 +349,9 @@ impl BlockIluFactors {
         self.solve_in_place(x);
     }
 
-    /// In-place block triangular solves, dispatched once per call to the
-    /// micro-kernel tier fixed at factor time.  All tiers are bitwise
-    /// identical (see `tests/kernel_equivalence.rs`).
+    /// In-place block triangular solves, dispatched once per call on the
+    /// block size.
     pub fn solve_in_place(&self, x: &mut [f64]) {
-        if self.kernel == BlockKernel::Generic {
-            return self.solve_in_place_generic(x);
-        }
         match self.b {
             4 => self.solve_in_place_b::<4>(x),
             5 => self.solve_in_place_b::<5>(x),
@@ -391,10 +362,10 @@ impl BlockIluFactors {
         }
     }
 
-    /// Runtime-`b` sweeps — the scalar baseline tier.  The per-call scratch
-    /// vectors are allocated once; the loops themselves allocate nothing
-    /// (`x` sub-blocks are borrowed in place, disjoint from the local
-    /// accumulators).
+    /// Runtime-`b` sweeps: the path for `b > 5`, and the tests' reference.
+    /// The per-call scratch vectors are allocated once; the loops
+    /// themselves allocate nothing (`x` sub-blocks are borrowed in place,
+    /// disjoint from the local accumulators).
     fn solve_in_place_generic(&self, x: &mut [f64]) {
         let b = self.b;
         let bb = b * b;
@@ -425,72 +396,31 @@ impl BlockIluFactors {
         }
     }
 
-    /// Const-unrolled sweeps for the fixed and batched tiers: stack-array
-    /// accumulators, lane gemv kernels, and — when the structure analysis
-    /// is present — batch streaming with template column deltas and
-    /// arithmetic block offsets in place of per-row `l_ptr`/`l_idx` loads.
+    /// Const-unrolled sweeps: stack-array accumulators and lane gemv
+    /// kernels, bitwise identical to [`Self::solve_in_place_generic`].
     fn solve_in_place_b<const B: usize>(&self, x: &mut [f64]) {
         let bb = B * B;
         // Forward: (I + L) y = rhs.
-        if let Some(st) = &self.l_structure {
-            for bt in st.batches() {
-                let deltas = st.template_deltas(bt.template);
-                let len = deltas.len();
-                let mut li = self.l_ptr[bt.start as usize];
-                for i in bt.start as usize..bt.start as usize + bt.len as usize {
-                    let mut xi: [f64; B] = x[i * B..(i + 1) * B].try_into().unwrap();
-                    for (pos, &d) in deltas.iter().enumerate() {
-                        let k = (i as i64 + d) as usize;
-                        let lik = &self.l_vals[(li + pos) * bb..(li + pos + 1) * bb];
-                        block_gemv_sub_b::<B>(lik, &x[k * B..k * B + B], &mut xi);
-                    }
-                    li += len;
-                    x[i * B..(i + 1) * B].copy_from_slice(&xi);
-                }
+        for i in 0..self.nb {
+            let mut xi: [f64; B] = x[i * B..(i + 1) * B].try_into().unwrap();
+            for li in self.l_ptr[i]..self.l_ptr[i + 1] {
+                let k = self.l_idx[li] as usize;
+                let lik = &self.l_vals[li * bb..(li + 1) * bb];
+                block_gemv_sub_b::<B>(lik, &x[k * B..k * B + B], &mut xi);
             }
-        } else {
-            for i in 0..self.nb {
-                let mut xi: [f64; B] = x[i * B..(i + 1) * B].try_into().unwrap();
-                for li in self.l_ptr[i]..self.l_ptr[i + 1] {
-                    let k = self.l_idx[li] as usize;
-                    let lik = &self.l_vals[li * bb..(li + 1) * bb];
-                    block_gemv_sub_b::<B>(lik, &x[k * B..k * B + B], &mut xi);
-                }
-                x[i * B..(i + 1) * B].copy_from_slice(&xi);
-            }
+            x[i * B..(i + 1) * B].copy_from_slice(&xi);
         }
         // Backward: (D + U) x = y  =>  x_i = invD_i (y_i - sum U_ij x_j).
-        if let Some(st) = &self.u_structure {
-            for bt in st.batches().iter().rev() {
-                let deltas = st.template_deltas(bt.template);
-                let start = bt.start as usize;
-                let len = deltas.len();
-                let ui0 = self.u_ptr[start];
-                for i in (start..start + bt.len as usize).rev() {
-                    let ui = ui0 + (i - start) * len;
-                    let mut acc: [f64; B] = x[i * B..(i + 1) * B].try_into().unwrap();
-                    for (pos, &d) in deltas.iter().enumerate() {
-                        let j = (i as i64 + d) as usize;
-                        let uij = &self.u_vals[(ui + pos) * bb..(ui + pos + 1) * bb];
-                        block_gemv_sub_b::<B>(uij, &x[j * B..j * B + B], &mut acc);
-                    }
-                    let invd = &self.inv_diag[i * bb..(i + 1) * bb];
-                    let out = block_gemv_b::<B>(invd, &acc);
-                    x[i * B..(i + 1) * B].copy_from_slice(&out);
-                }
+        for i in (0..self.nb).rev() {
+            let mut acc: [f64; B] = x[i * B..(i + 1) * B].try_into().unwrap();
+            for ui in self.u_ptr[i]..self.u_ptr[i + 1] {
+                let j = self.u_idx[ui] as usize;
+                let uij = &self.u_vals[ui * bb..(ui + 1) * bb];
+                block_gemv_sub_b::<B>(uij, &x[j * B..j * B + B], &mut acc);
             }
-        } else {
-            for i in (0..self.nb).rev() {
-                let mut acc: [f64; B] = x[i * B..(i + 1) * B].try_into().unwrap();
-                for ui in self.u_ptr[i]..self.u_ptr[i + 1] {
-                    let j = self.u_idx[ui] as usize;
-                    let uij = &self.u_vals[ui * bb..(ui + 1) * bb];
-                    block_gemv_sub_b::<B>(uij, &x[j * B..j * B + B], &mut acc);
-                }
-                let invd = &self.inv_diag[i * bb..(i + 1) * bb];
-                let out = block_gemv_b::<B>(invd, &acc);
-                x[i * B..(i + 1) * B].copy_from_slice(&out);
-            }
+            let invd = &self.inv_diag[i * bb..(i + 1) * bb];
+            let out = block_gemv_b::<B>(invd, &acc);
+            x[i * B..(i + 1) * B].copy_from_slice(&out);
         }
     }
 
@@ -523,9 +453,6 @@ impl BlockIluFactors {
     /// The level walk of [`Self::solve_in_place_par`], whether or not any
     /// level forks.
     pub(crate) fn solve_in_place_levels(&self, x: &mut [f64], ctx: &ParCtx) {
-        if self.kernel == BlockKernel::Generic {
-            return self.solve_in_place_par_generic(x, ctx);
-        }
         match self.b {
             4 => self.solve_in_place_par_b::<4>(x, ctx),
             5 => self.solve_in_place_par_b::<5>(x, ctx),
@@ -536,7 +463,8 @@ impl BlockIluFactors {
         }
     }
 
-    /// Runtime-`b` level sweeps — the scalar baseline tier.
+    /// Runtime-`b` level sweeps: the path for `b > 5`, and the tests'
+    /// reference.
     fn solve_in_place_par_generic(&self, x: &mut [f64], ctx: &ParCtx) {
         let b = self.b;
         let bb = b * b;
@@ -587,12 +515,11 @@ impl BlockIluFactors {
         }
     }
 
-    /// Const-unrolled level sweeps for the fixed and batched tiers.  The
-    /// level schedule fixes which rows run when, and the per-row arithmetic
-    /// is the exact sequential sequence, so this stays bitwise identical to
-    /// [`Self::solve_in_place`] for any thread count; the only changes are
-    /// stack-array accumulators and the lane gemv kernels — the sweep
-    /// closures allocate nothing.
+    /// Const-unrolled level sweeps.  The level schedule fixes which rows
+    /// run when, and the per-row arithmetic is the exact sequential
+    /// sequence, so this stays bitwise identical to [`Self::solve_in_place`]
+    /// for any thread count; the only changes are stack-array accumulators
+    /// and the lane gemv kernels — the sweep closures allocate nothing.
     fn solve_in_place_par_b<const B: usize>(&self, x: &mut [f64], ctx: &ParCtx) {
         let bb = B * B;
         let view = DisjointSliceMut::new(x);
@@ -643,12 +570,6 @@ impl BlockIluFactors {
 #[inline]
 fn find_block(cols: &[u32], c: u32) -> Option<usize> {
     cols.binary_search(&c).ok()
-}
-
-impl PartialEq for BlockIluFactors {
-    fn eq(&self, other: &Self) -> bool {
-        self.b == other.b && self.nb == other.nb && self.l_idx == other.l_idx
-    }
 }
 
 impl std::fmt::Display for BlockIluFactors {
@@ -832,11 +753,91 @@ mod tests {
         a2
     }
 
+    /// The runtime-`b` reference factor of `a`, whatever the block size.
+    fn factor_reference(a: &BcsrMatrix) -> Result<BlockIluFactors, IluError> {
+        let mut f = BlockIluFactors::symbolic(a)?;
+        f.load(a);
+        f.eliminate_generic()?;
+        Ok(f)
+    }
+
+    /// Factor `a` both ways and check the factors and every solve path —
+    /// `solve`, `solve_par` and the level walk on both kernel shapes —
+    /// against the runtime-`b` reference sweep, bit for bit.
+    fn assert_block_ilu_is_the_reference(a: &BcsrMatrix, rhs: &[f64], threads: &[usize]) {
+        let b = a.block_size();
+        let g = factor_reference(a).unwrap();
+        let f = BlockIluFactors::factor(a).unwrap();
+        assert_eq!(value_bits(&g), value_bits(&f), "factor b={b}");
+        let mut x0 = rhs.to_vec();
+        g.solve_in_place_generic(&mut x0);
+        let mut x = vec![0.0; rhs.len()];
+        f.solve(rhs, &mut x);
+        assert_eq!(x0, x, "b={b}");
+        for &nthreads in threads {
+            let ctx = ParCtx::new(nthreads);
+            f.solve_par(rhs, &mut x, &ctx);
+            assert_eq!(x0, x, "b={b} nthreads={nthreads}");
+            x.copy_from_slice(rhs);
+            f.solve_in_place_levels(&mut x, &ctx);
+            assert_eq!(x0, x, "levels b={b} nthreads={nthreads}");
+            x.copy_from_slice(rhs);
+            g.solve_in_place_par_generic(&mut x, &ctx);
+            assert_eq!(x0, x, "reference levels b={b} nthreads={nthreads}");
+        }
+    }
+
+    /// A diagonally dominant block matrix: an off-diagonal block at each
+    /// off-diagonal `(bi, bj)` of `entries`, and a diagonal block in every
+    /// row.
+    fn dd_block_matrix(
+        nb: usize,
+        b: usize,
+        entries: impl IntoIterator<Item = (usize, usize, f64)>,
+    ) -> BcsrMatrix {
+        let mut t = TripletMatrix::new(nb * b, nb * b);
+        let mut ndiag = vec![0usize; nb];
+        for (bi, bj, v) in entries {
+            if bi != bj {
+                let blk: Vec<f64> = (0..b * b).map(|q| v * 0.1 + q as f64 * 0.001).collect();
+                t.push_block(bi, bj, b, &blk);
+                ndiag[bi] += 1;
+            }
+        }
+        for (bi, &count) in ndiag.iter().enumerate() {
+            let mut blk: Vec<f64> = (0..b * b).map(|q| (q as f64 * 0.013).sin() * 0.2).collect();
+            for d in 0..b {
+                blk[d * b + d] += 2.0 + count as f64;
+            }
+            t.push_block(bi, bi, b, &blk);
+        }
+        BcsrMatrix::from_csr(&t.to_csr(), b)
+    }
+
+    #[test]
+    fn factors_compare_by_pattern_and_values() {
+        let a = BcsrMatrix::from_csr(&block_tridiag(8, 4, 2), 4);
+        let f = BlockIluFactors::factor(&a).unwrap();
+        assert_eq!(f, f.clone());
+        // One pattern, other values.
+        let g = BlockIluFactors::factor(&perturbed(&a)).unwrap();
+        assert!(g.matches_pattern(&a));
+        assert_ne!(f, g);
+        // The same (empty) L pattern, another U pattern.
+        let upper = dd_block_matrix(8, 4, (0..7).map(|i| (i, i + 1, 0.5)));
+        let diag = dd_block_matrix(8, 4, []);
+        let (fu, fd) = (
+            BlockIluFactors::factor(&upper).unwrap(),
+            BlockIluFactors::factor(&diag).unwrap(),
+        );
+        assert_eq!(fu.l_idx, fd.l_idx);
+        assert_ne!(fu, fd);
+    }
+
     #[test]
     fn singular_diagonal_block_in_refactor_reports_row() {
-        use crate::blockspec::BlockKernel;
-        // b = 2 and 4 reach the const elimination on the fixed and batched
-        // tiers; 6 runs the runtime-b elimination on every tier.
+        // b = 2 and 4 reach the const elimination; 6 runs the runtime-b
+        // one, which is also the reference at every size.
         for b in [2usize, 4, 6] {
             let a = BcsrMatrix::from_csr(&block_tridiag(6, b, 41), b);
             let mut bad = a.clone();
@@ -846,24 +847,21 @@ mod tests {
             let bb = b * b;
             let rp = bad.row_ptr()[3];
             bad.values_mut()[rp * bb..(rp + 2) * bb].fill(0.0);
-            for kernel in [
-                BlockKernel::Generic,
-                BlockKernel::Fixed,
-                BlockKernel::Batched,
-            ] {
-                let fresh = BlockIluFactors::factor_with_kernel(&bad, kernel);
-                assert_eq!(fresh.err(), Some(IluError::ZeroPivot(3)), "b={b} {kernel}");
-                let mut f = BlockIluFactors::factor_with_kernel(&a, kernel).unwrap();
-                assert_eq!(
-                    f.refactor(&bad),
-                    Err(IluError::ZeroPivot(3)),
-                    "b={b} {kernel}"
-                );
-                // A later good refactor recovers the fresh factor exactly.
-                f.refactor(&a).unwrap();
-                let g = BlockIluFactors::factor_with_kernel(&a, kernel).unwrap();
-                assert_eq!(value_bits(&f), value_bits(&g), "b={b} {kernel}");
-            }
+            let zero_pivot = Some(IluError::ZeroPivot(3));
+            assert_eq!(BlockIluFactors::factor(&bad).err(), zero_pivot, "b={b}");
+            assert_eq!(factor_reference(&bad).err(), zero_pivot, "reference b={b}");
+            let mut f = BlockIluFactors::factor(&a).unwrap();
+            assert_eq!(f.refactor(&bad).err(), zero_pivot, "b={b}");
+            let mut g = factor_reference(&a).unwrap();
+            g.load(&bad);
+            assert_eq!(g.eliminate_generic().err(), zero_pivot, "reference b={b}");
+            // A later good refactor recovers the fresh factor exactly.
+            f.refactor(&a).unwrap();
+            g.load(&a);
+            g.eliminate_generic().unwrap();
+            let fresh = value_bits(&factor_reference(&a).unwrap());
+            assert_eq!(value_bits(&f), fresh, "b={b}");
+            assert_eq!(value_bits(&g), fresh, "reference b={b}");
         }
     }
 
@@ -975,144 +973,58 @@ mod tests {
 
     #[test]
     fn sweep_kernel_tiers_are_bitwise_identical() {
-        use crate::blockspec::BlockKernel;
-        use crate::par::ParCtx;
         for b in [2usize, 4, 5] {
-            let a = block_tridiag(22, b, 31);
-            let ab = BcsrMatrix::from_csr(&a, b);
-            let n = a.nrows();
-            let rhs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.73).sin()).collect();
-            let fg = BlockIluFactors::factor_with_kernel(&ab, BlockKernel::Generic).unwrap();
-            let mut x0 = vec![0.0; n];
-            fg.solve(&rhs, &mut x0);
-            for kernel in [BlockKernel::Fixed, BlockKernel::Batched] {
-                let f = BlockIluFactors::factor_with_kernel(&ab, kernel).unwrap();
-                assert_eq!(f.kernel(), kernel);
-                let mut x = vec![0.0; n];
-                f.solve(&rhs, &mut x);
-                assert_eq!(x0, x, "b={b} kernel={kernel}");
-                for nthreads in [2usize, 4] {
-                    let ctx = ParCtx::new(nthreads);
-                    let mut xp = vec![0.0; n];
-                    f.solve_par(&rhs, &mut xp, &ctx);
-                    assert_eq!(x0, xp, "b={b} kernel={kernel} nthreads={nthreads}");
-                    xp.copy_from_slice(&rhs);
-                    f.solve_in_place_levels(&mut xp, &ctx);
-                    assert_eq!(x0, xp, "levels b={b} kernel={kernel} nthreads={nthreads}");
-                }
-            }
+            let ab = BcsrMatrix::from_csr(&block_tridiag(22, b, 31), b);
+            let rhs: Vec<f64> = (0..ab.nrows()).map(|i| (i as f64 * 0.73).sin()).collect();
+            assert_block_ilu_is_the_reference(&ab, &rhs, &[2, 4]);
         }
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
 
-        /// Every kernel tier's level walk equals the generic natural-order
+        /// The size-dispatched factor, sweeps and level walk, and the
+        /// runtime-`b` level walk, equal the runtime-`b` natural-order
         /// sweep bit for bit on random block patterns, for `b` = 1..=6
-        /// (unrolled and fallback paths) at every team size.
+        /// (unrolled and runtime-`b` paths) at every team size.
         #[test]
         fn level_walk_tiers_are_bitwise_sequential(
             nb in 1usize..14,
             b in 1usize..7,
             entries in proptest::collection::vec((0usize..14, 0usize..14, -1.0f64..1.0), 0..50),
         ) {
-            use crate::blockspec::BlockKernel;
-            use crate::par::ParCtx;
-            let mut t = TripletMatrix::new(nb * b, nb * b);
-            let mut ndiag = vec![0usize; nb];
-            for &(bi, bj, v) in &entries {
-                if bi < nb && bj < nb && bi != bj {
-                    let blk: Vec<f64> = (0..b * b).map(|q| v * 0.1 + q as f64 * 0.001).collect();
-                    t.push_block(bi, bj, b, &blk);
-                    ndiag[bi] += 1;
-                }
-            }
-            for (bi, &count) in ndiag.iter().enumerate() {
-                let mut blk: Vec<f64> =
-                    (0..b * b).map(|q| (q as f64 * 0.013).sin() * 0.2).collect();
-                for d in 0..b {
-                    blk[d * b + d] += 2.0 + count as f64;
-                }
-                t.push_block(bi, bi, b, &blk);
-            }
-            let ab = BcsrMatrix::from_csr(&t.to_csr(), b);
-            let n = nb * b;
-            let rhs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.71).cos()).collect();
-            let f0 = BlockIluFactors::factor_with_kernel(&ab, BlockKernel::Generic).unwrap();
-            let mut x0 = vec![0.0; n];
-            f0.solve(&rhs, &mut x0);
-            for kernel in [BlockKernel::Generic, BlockKernel::Fixed, BlockKernel::Batched] {
-                let f = BlockIluFactors::factor_with_kernel(&ab, kernel).unwrap();
-                for nthreads in [1usize, 2, 3, 7] {
-                    let mut xp = rhs.clone();
-                    f.solve_in_place_levels(&mut xp, &ParCtx::new(nthreads));
-                    let at = format!("kernel={kernel} b={b} nthreads={nthreads}");
-                    proptest::prop_assert_eq!(&x0, &xp, "{}", at);
-                }
-            }
+            let inside = entries.into_iter().filter(|&(bi, bj, _)| bi < nb && bj < nb);
+            let ab = dd_block_matrix(nb, b, inside);
+            let rhs: Vec<f64> = (0..nb * b).map(|i| (i as f64 * 0.71).cos()).collect();
+            assert_block_ilu_is_the_reference(&ab, &rhs, &[1, 2, 3, 7]);
         }
 
         /// `refactor` is a fresh `factor` bit for bit on random block
-        /// patterns, for `b` = 1..=6 on every kernel tier, after first
-        /// refactoring from other values; and every tier's elimination
-        /// equals the runtime-`b` one.
+        /// patterns, for `b` = 1..=6, after first refactoring from other
+        /// values; and both equal the runtime-`b` elimination, which
+        /// refactors the same way.
         #[test]
         fn refactor_is_bitwise_a_fresh_factor(
             nb in 1usize..14,
             b in 1usize..7,
             entries in proptest::collection::vec((0usize..14, 0usize..14, -1.0f64..1.0), 0..50),
         ) {
-            use crate::blockspec::BlockKernel;
-            let mut t = TripletMatrix::new(nb * b, nb * b);
-            let mut ndiag = vec![0usize; nb];
             // Entries wrap onto the matrix, so small ones are dense and
             // most updates land on stored blocks.
-            for &(bi, bj, v) in &entries {
-                let (bi, bj) = (bi % nb, bj % nb);
-                if bi != bj {
-                    let blk: Vec<f64> = (0..b * b).map(|q| v * 0.1 + q as f64 * 0.001).collect();
-                    t.push_block(bi, bj, b, &blk);
-                    ndiag[bi] += 1;
-                }
-            }
-            for (bi, &count) in ndiag.iter().enumerate() {
-                let mut blk: Vec<f64> =
-                    (0..b * b).map(|q| (q as f64 * 0.013).sin() * 0.2).collect();
-                for d in 0..b {
-                    blk[d * b + d] += 2.0 + count as f64;
-                }
-                t.push_block(bi, bi, b, &blk);
-            }
-            let a1 = BcsrMatrix::from_csr(&t.to_csr(), b);
+            let wrapped = entries.into_iter().map(|(bi, bj, v)| (bi % nb, bj % nb, v));
+            let a1 = dd_block_matrix(nb, b, wrapped);
             let a2 = perturbed(&a1);
-            let reference = value_bits(
-                &BlockIluFactors::factor_with_kernel(&a2, BlockKernel::Generic).unwrap(),
-            );
-            for kernel in [BlockKernel::Generic, BlockKernel::Fixed, BlockKernel::Batched] {
-                let fresh = BlockIluFactors::factor_with_kernel(&a2, kernel).unwrap();
-                proptest::prop_assert_eq!(&reference, &value_bits(&fresh), "fresh {}", kernel);
-                let mut f = BlockIluFactors::factor_with_kernel(&a1, kernel).unwrap();
-                f.refactor(&a2).unwrap();
-                proptest::prop_assert_eq!(&reference, &value_bits(&f), "refactor {}", kernel);
-                proptest::prop_assert_eq!(f.kernel(), kernel);
-            }
+            let reference = value_bits(&factor_reference(&a2).unwrap());
+            let fresh = BlockIluFactors::factor(&a2).unwrap();
+            proptest::prop_assert_eq!(&reference, &value_bits(&fresh), "fresh");
+            let mut f = BlockIluFactors::factor(&a1).unwrap();
+            f.refactor(&a2).unwrap();
+            proptest::prop_assert_eq!(&reference, &value_bits(&f), "refactor");
+            let mut g = factor_reference(&a1).unwrap();
+            g.load(&a2);
+            g.eliminate_generic().unwrap();
+            proptest::prop_assert_eq!(&reference, &value_bits(&g), "reference refactor");
         }
-    }
-
-    #[test]
-    fn batched_factor_reports_sweep_structure() {
-        use crate::blockspec::BlockKernel;
-        let a = block_tridiag(22, 4, 31);
-        let ab = BcsrMatrix::from_csr(&a, 4);
-        let fb = BlockIluFactors::factor_with_kernel(&ab, BlockKernel::Batched).unwrap();
-        let (ls, us) = fb.structure_stats().expect("batched tier has structure");
-        // Tridiagonal: L rows are (empty, then all "previous row"); high reuse.
-        assert_eq!(ls.nrows, 22);
-        assert_eq!(us.nrows, 22);
-        assert!(ls.hit_rate > 0.9, "{ls:?}");
-        assert!(us.hit_rate > 0.9, "{us:?}");
-        let ff = BlockIluFactors::factor_with_kernel(&ab, BlockKernel::Fixed).unwrap();
-        assert!(ff.structure_stats().is_none());
     }
 
     #[test]

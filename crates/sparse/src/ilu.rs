@@ -134,7 +134,7 @@ enum FactorValues {
 /// level sets of a level-scheduled parallel sweep.  Depends only on the
 /// symbolic pattern, so it is computed once at factor time and survives
 /// numeric refactorization.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct LevelSchedule {
     /// CSR-style offsets into `rows`, length `nlevels + 1`.
     pub ptr: Vec<usize>,

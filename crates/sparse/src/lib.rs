@@ -7,7 +7,9 @@
 //!   the format used by the *non-blocked* variants in Table 1.
 //! * [`bcsr::BcsrMatrix`] — block compressed sparse row storage (PETSc `BAIJ`
 //!   analogue) exploiting the small dense blocks that arise when the field
-//!   variables at a grid point are interlaced ("structural blocking").
+//!   variables at a grid point are interlaced ("structural blocking"); its
+//!   kernels unroll for block sizes up to 5 and fall back to runtime-`b`
+//!   loops beyond.
 //! * [`layout`] — interlaced vs. segregated ("noninterlaced") vector layouts
 //!   and conversions between them (Section 2.1.1 of the paper).
 //! * [`ilu`] — level-of-fill incomplete factorization ILU(k) with forward and
@@ -15,10 +17,6 @@
 //!   double-precision arithmetic* variant of Section 2.2 (Table 2).
 //! * [`block_ilu`] — point-block ILU(0) on BCSR (PETSc `PCILU`+`BAIJ`), the
 //!   factorization PETSc-FUN3D actually applies once blocking is on.
-//! * [`blockspec`] — micro-kernel tier selection (`FUN3D_BLOCK_KERNEL`) and
-//!   the repeated-block-structure analysis pass that hashes, deduplicates,
-//!   and batches identical row patterns so one unrolled kernel can stream
-//!   through whole runs of rows without per-row index loads.
 //! * [`dense`] — small dense block helpers (LU with partial pivoting) used by
 //!   the block preconditioners.
 //! * [`vec_ops`] — the BLAS-1 style vector kernels (dot, axpy, norms) that the
@@ -37,7 +35,6 @@
 
 pub mod bcsr;
 pub mod block_ilu;
-pub mod blockspec;
 pub mod csr;
 pub mod dense;
 pub mod ilu;
@@ -49,7 +46,6 @@ pub mod vec_ops;
 
 pub use bcsr::BcsrMatrix;
 pub use block_ilu::BlockIluFactors;
-pub use blockspec::{BlockKernel, BlockStructure, BlockStructureStats};
 pub use csr::CsrMatrix;
 pub use ilu::{IluFactors, IluOptions, PrecStorage};
 pub use par::ParCtx;
