@@ -5,7 +5,9 @@
 //!
 //! The point ILU entries cover each I-node shape: interlaced incompressible
 //! rows (nodes of 4), interlaced compressible rows (`-comp`, nodes of 5) and
-//! segregated rows (`-seg`, one-row nodes).
+//! segregated rows (`-seg`, one-row nodes).  The refactors run on both
+//! interlaced Jacobians: `bilu0-refactor` at b = 4 next to `ilu0-refactor`,
+//! and `bilu0-refactor-comp` at b = 5 next to `ilu0-refactor-comp`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fun3d_bench::representative_jacobian;
@@ -101,6 +103,11 @@ fn bench_factor(c: &mut Criterion) {
     let mut fc = IluFactors::factor(&comp, &IluOptions::with_fill(0)).unwrap();
     group.bench_function("ilu0-refactor-comp", |bch| {
         bch.iter(|| fc.refactor(&comp).unwrap())
+    });
+    let comp_blocked = BcsrMatrix::from_csr(&comp, 5);
+    let mut fbc = BlockIluFactors::factor(&comp_blocked).unwrap();
+    group.bench_function("bilu0-refactor-comp", |bch| {
+        bch.iter(|| fbc.refactor(&comp_blocked).unwrap())
     });
     group.finish();
 }

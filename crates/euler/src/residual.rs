@@ -688,15 +688,13 @@ impl<'a, P: FluxSplit, L: Layout> Kernel<'a, P, L> {
                 (b, ba, -1.0, &ja, 0.5 * lam),
                 (b, bb, -1.0, &jb, -0.5 * lam),
             ] {
-                for r in 0..P::NCOMP {
-                    for c in 0..P::NCOMP {
-                        let mut val = jac[r * MAX_COMP + c] * 0.5;
-                        if r == c {
-                            val += extra_diag;
-                        }
-                        vals[pat.slot(v, offset, r, c)] += sign * val;
+                pat.add_block::<L>(vals, v, offset, 0..P::NCOMP, P::NCOMP, |r, c| {
+                    let mut val = jac[r * MAX_COMP + c] * 0.5;
+                    if r == c {
+                        val += extra_diag;
                     }
-                }
+                    sign * val
+                });
             }
         }
     }
@@ -713,11 +711,7 @@ impl<'a, P: FluxSplit, L: Layout> Kernel<'a, P, L> {
                     BoundaryKind::Wall => {
                         // d(p n)/dq: rank-one n (x) dp/dq on momentum rows.
                         let dp = self.split.pressure_gradient(&rec);
-                        for r in 1..4usize {
-                            for c in 0..P::NCOMP {
-                                vals[pat.slot(v, diag, r, c)] += n3[r - 1] * dp[c];
-                            }
-                        }
+                        pat.add_block::<L>(vals, v, diag, 1..4, P::NCOMP, |r, c| n3[r - 1] * dp[c]);
                     }
                     BoundaryKind::Inflow => {
                         // d Rusanov(q, qinf)/dq = A(q)/2 + lam/2 I (frozen).
@@ -726,23 +720,19 @@ impl<'a, P: FluxSplit, L: Layout> Kernel<'a, P, L> {
                             .wavespeed(&rec, n3)
                             .max(self.split.wavespeed(&self.freestream, n3));
                         let a = self.split.flux_jacobian(&rec, n3);
-                        for r in 0..P::NCOMP {
-                            for c in 0..P::NCOMP {
-                                let mut val = 0.5 * a[r * MAX_COMP + c];
-                                if r == c {
-                                    val += 0.5 * lam;
-                                }
-                                vals[pat.slot(v, diag, r, c)] += val;
+                        pat.add_block::<L>(vals, v, diag, 0..P::NCOMP, P::NCOMP, |r, c| {
+                            let mut val = 0.5 * a[r * MAX_COMP + c];
+                            if r == c {
+                                val += 0.5 * lam;
                             }
-                        }
+                            val
+                        });
                     }
                     BoundaryKind::Outflow => {
                         let a = self.split.flux_jacobian(&rec, n3);
-                        for r in 0..P::NCOMP {
-                            for c in 0..P::NCOMP {
-                                vals[pat.slot(v, diag, r, c)] += a[r * MAX_COMP + c];
-                            }
-                        }
+                        pat.add_block::<L>(vals, v, diag, 0..P::NCOMP, P::NCOMP, |r, c| {
+                            a[r * MAX_COMP + c]
+                        });
                     }
                 }
             }
@@ -758,9 +748,11 @@ impl<'a, P: FluxSplit, L: Layout> Kernel<'a, P, L> {
 /// and sorting them into CSR produces.  Entry `(r, c)` of a block with
 /// value offset `offset` in the rows of vertex `v` is at
 /// `offset + r * strides[v].0 + c * strides[v].1`: in the interlaced layout
-/// a block's rows are one vertex row apart and its columns adjacent; in the
-/// segregated layout its rows are one component plane apart and its
-/// columns one vertex row length apart.
+/// a block's rows are one vertex row apart and its columns adjacent, so
+/// each block row is one contiguous slice that the kernels add through
+/// ([`Self::add_block`]); in the segregated layout its rows are one
+/// component plane apart and its columns one vertex row length apart, and
+/// each entry is found through [`Self::slot`].
 #[derive(Debug)]
 struct JacobianPattern {
     /// The point-CSR pattern every assembled Jacobian shares.
@@ -865,6 +857,42 @@ impl JacobianPattern {
     fn slot(&self, v: usize, offset: usize, r: usize, c: usize) -> usize {
         let (rs, cs) = self.strides[v];
         offset + r * rs + c * cs
+    }
+
+    /// Add `f(r, c)` to entry `(r, c)` of the block at `offset` in the rows
+    /// of vertex `v`, for `r` in `rows` and `c < ncomp`, row by row with
+    /// columns ascending.  Interlaced, each block row is one contiguous
+    /// `ncomp`-wide slice of `vals` and is added through that slice (one
+    /// bounds check per row); segregated, each entry goes through
+    /// [`Self::slot`].  Either way every entry sees the same addition.
+    #[inline(always)]
+    fn add_block<L: Layout>(
+        &self,
+        vals: &mut [f64],
+        v: usize,
+        offset: usize,
+        rows: Range<usize>,
+        ncomp: usize,
+        f: impl Fn(usize, usize) -> f64,
+    ) {
+        match L::LAYOUT {
+            FieldLayout::Interlaced => {
+                let row_stride = self.strides[v].0;
+                for r in rows {
+                    let row = &mut vals[offset + r * row_stride..][..ncomp];
+                    for (c, x) in row.iter_mut().enumerate() {
+                        *x += f(r, c);
+                    }
+                }
+            }
+            FieldLayout::Segregated => {
+                for r in rows {
+                    for c in 0..ncomp {
+                        vals[self.slot(v, offset, r, c)] += f(r, c);
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -834,6 +834,29 @@ mod tests {
         assert_ne!(fu, fd);
     }
 
+    /// `bad` (the pattern of `a`, other values) gives a zero pivot at block
+    /// row 3 on a fresh factor and on a refactor from `a`, on both kernel
+    /// shapes, and a later good refactor recovers `a`'s fresh factor bit
+    /// for bit.
+    fn assert_zero_pivot_at_row_3(a: &BcsrMatrix, bad: &BcsrMatrix, what: &str) {
+        let case = format!("{what} b={}", a.block_size());
+        let zero_pivot = Some(IluError::ZeroPivot(3));
+        assert_eq!(BlockIluFactors::factor(bad).err(), zero_pivot, "{case}");
+        assert_eq!(factor_reference(bad).err(), zero_pivot, "{case} reference");
+        let mut f = BlockIluFactors::factor(a).unwrap();
+        assert_eq!(f.refactor(bad).err(), zero_pivot, "{case}");
+        let mut g = factor_reference(a).unwrap();
+        g.load(bad);
+        assert_eq!(g.eliminate_generic().err(), zero_pivot, "{case} reference");
+        // A later good refactor recovers the fresh factor exactly.
+        f.refactor(a).unwrap();
+        g.load(a);
+        g.eliminate_generic().unwrap();
+        let fresh = value_bits(&factor_reference(a).unwrap());
+        assert_eq!(value_bits(&f), fresh, "{case}");
+        assert_eq!(value_bits(&g), fresh, "{case} reference");
+    }
+
     #[test]
     fn singular_diagonal_block_in_refactor_reports_row() {
         // b = 2 and 4 reach the const elimination; 6 runs the runtime-b
@@ -842,26 +865,38 @@ mod tests {
             let a = BcsrMatrix::from_csr(&block_tridiag(6, b, 41), b);
             let mut bad = a.clone();
             // Zero block row 3's lower and diagonal blocks (the pattern
-            // stays): the zero L block updates nothing, so the diagonal
-            // block stays zero and singular.
+            // stays): the zero L block adds only zero products, so the
+            // diagonal block stays zero and singular.
             let bb = b * b;
             let rp = bad.row_ptr()[3];
             bad.values_mut()[rp * bb..(rp + 2) * bb].fill(0.0);
-            let zero_pivot = Some(IluError::ZeroPivot(3));
-            assert_eq!(BlockIluFactors::factor(&bad).err(), zero_pivot, "b={b}");
-            assert_eq!(factor_reference(&bad).err(), zero_pivot, "reference b={b}");
-            let mut f = BlockIluFactors::factor(&a).unwrap();
-            assert_eq!(f.refactor(&bad).err(), zero_pivot, "b={b}");
-            let mut g = factor_reference(&a).unwrap();
-            g.load(&bad);
-            assert_eq!(g.eliminate_generic().err(), zero_pivot, "reference b={b}");
-            // A later good refactor recovers the fresh factor exactly.
-            f.refactor(&a).unwrap();
-            g.load(&a);
-            g.eliminate_generic().unwrap();
-            let fresh = value_bits(&factor_reference(&a).unwrap());
-            assert_eq!(value_bits(&f), fresh, "b={b}");
-            assert_eq!(value_bits(&g), fresh, "reference b={b}");
+            assert_zero_pivot_at_row_3(&a, &bad, "zero");
+        }
+    }
+
+    #[test]
+    fn nan_block_reports_zero_pivot() {
+        // A NaN reaching block row 3's diagonal block fails its pivot
+        // check, whichever block it enters through.  b = 2 and 4 reach the
+        // const elimination, 6 the runtime-b one.
+        for b in [2usize, 4, 6] {
+            let a = BcsrMatrix::from_csr(&block_tridiag(6, b, 43), b);
+            let bb = b * b;
+            // Block row 3 of the block-tridiagonal matrix stores (3, 2),
+            // (3, 3) and (3, 4); block row 2 stores (2, 3) last.
+            let (l32, d33, u23) = (a.row_ptr()[3], a.row_ptr()[3] + 1, a.row_ptr()[3] - 1);
+            let mut bad = a.clone();
+            bad.values_mut()[d33 * bb + bb - 1] = f64::NAN;
+            assert_zero_pivot_at_row_3(&a, &bad, "NaN diagonal");
+            let mut bad = a.clone();
+            bad.values_mut()[l32 * bb + 1] = f64::NAN;
+            assert_zero_pivot_at_row_3(&a, &bad, "NaN lower");
+            // A zero multiplier is applied, not skipped: a zero lower block
+            // times a NaN in the upper block it meets is NaN too.
+            let mut bad = a.clone();
+            bad.values_mut()[l32 * bb..(l32 + 1) * bb].fill(0.0);
+            bad.values_mut()[u23 * bb + bb / 2] = f64::NAN;
+            assert_zero_pivot_at_row_3(&a, &bad, "zero lower, NaN upper");
         }
     }
 

@@ -11,6 +11,10 @@
 /// stored in place.  `piv[i]` records the row swapped into position `i`.
 ///
 /// Returns `Err(i)` if a zero (or subnormal) pivot is met at step `i`.
+///
+/// Always inlined, so a caller with a constant `n` (the const-`B` block-ILU
+/// elimination) gets loops unrolled for that size.
+#[inline(always)]
 pub fn lu_factor(a: &mut [f64], piv: &mut [usize], n: usize) -> Result<(), usize> {
     assert_eq!(a.len(), n * n);
     assert_eq!(piv.len(), n);
@@ -203,16 +207,13 @@ pub(crate) fn lu_invert_b<const N: usize>(lu: &[f64], piv: &[usize], inv: &mut [
 
 /// `C <- C - A * B` for `N x N` blocks with `N` known at compile time — the
 /// const-unrolled twin of [`block_gemm_sub`], with the same loop order and
-/// the same skip of zero `A` entries, hence bitwise identical.
+/// every `A` entry applied, zero or not, hence bitwise identical.
 #[inline(always)]
 pub(crate) fn block_gemm_sub_b<const N: usize>(a: &[f64], b: &[f64], c: &mut [f64]) {
     debug_assert!(a.len() >= N * N && b.len() >= N * N && c.len() >= N * N);
     for i in 0..N {
         for k in 0..N {
             let aik = a[i * N + k];
-            if aik == 0.0 {
-                continue;
-            }
             for j in 0..N {
                 c[i * N + j] -= aik * b[k * N + j];
             }
@@ -238,6 +239,14 @@ pub(crate) fn block_gemm_b<const N: usize>(a: &[f64], b: &[f64], c: &mut [f64]) 
 
 /// `C <- C - A * B` for row-major `n x n` blocks (the Schur update inside the
 /// block ILU factorization).
+///
+/// Like PETSc's BAIJ kernels it applies whole blocks: a zero entry of `A`
+/// is multiplied through, not skipped, so the inner loop has no branch and
+/// vectorizes.  It gives the bits a loop skipping zero `A` entries gives,
+/// except in two cases: a `-0.0` entry of `C` minus a `-0.0` product is
+/// `+0.0`, and a zero of `A` times a non-finite `B` entry is NaN.  Neither
+/// arises on assembled Jacobians, whose zeros are `+0.0` and whose values
+/// are finite.
 #[inline]
 pub fn block_gemm_sub(a: &[f64], b: &[f64], c: &mut [f64], n: usize) {
     debug_assert_eq!(a.len(), n * n);
@@ -246,9 +255,6 @@ pub fn block_gemm_sub(a: &[f64], b: &[f64], c: &mut [f64], n: usize) {
     for i in 0..n {
         for k in 0..n {
             let aik = a[i * n + k];
-            if aik == 0.0 {
-                continue;
-            }
             for j in 0..n {
                 c[i * n + j] -= aik * b[k * n + j];
             }
@@ -397,7 +403,8 @@ mod tests {
     fn fixed_factor_twins_match_runtime_bitwise() {
         // The block-ILU elimination's const kernels, against the runtime-n
         // ones, bit for bit.  Zero entries of `A` (including -0.0) and a
-        // -0.0 in `C` pin the skipped updates.
+        // -0.0 in `C` pin that both twins apply zero multipliers the same
+        // way.
         fn check<const N: usize>() {
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             let a: Vec<f64> = (0..N * N)
@@ -429,6 +436,38 @@ mod tests {
             lu_invert(&lu, &piv, &mut inv1, N);
             lu_invert_b::<N>(&lu, &piv, &mut inv2);
             assert_eq!(bits(&inv1), bits(&inv2), "invert N={N}");
+        }
+        check::<1>();
+        check::<2>();
+        check::<3>();
+        check::<4>();
+        check::<5>();
+    }
+
+    #[test]
+    fn gemm_sub_applies_zero_multipliers() {
+        // Whole blocks are applied, as PETSc's BAIJ kernels do: a -0.0
+        // target minus a -0.0 product is +0.0, and a zero multiplier times
+        // a non-finite entry is NaN, in both twins.
+        fn check<const N: usize>() {
+            let a = vec![0.0; N * N];
+            let mut b = vec![-1.0; N * N];
+            let mut c1 = vec![-0.0; N * N];
+            let mut c2 = c1.clone();
+            block_gemm_sub(&a, &b, &mut c1, N);
+            block_gemm_sub_b::<N>(&a, &b, &mut c2);
+            for (&x1, &x2) in c1.iter().zip(&c2) {
+                assert_eq!(x1.to_bits(), 0.0f64.to_bits(), "N={N}");
+                assert_eq!(x2.to_bits(), 0.0f64.to_bits(), "N={N}");
+            }
+            b[N * N - 1] = f64::INFINITY;
+            block_gemm_sub(&a, &b, &mut c1, N);
+            block_gemm_sub_b::<N>(&a, &b, &mut c2);
+            // Every row of `C` meets the last row of `B` in its last column.
+            for i in 0..N {
+                assert!(c1[i * N + N - 1].is_nan(), "N={N}");
+                assert!(c2[i * N + N - 1].is_nan(), "N={N}");
+            }
         }
         check::<1>();
         check::<2>();
