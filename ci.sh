@@ -15,7 +15,7 @@ cd "$(dirname "$0")"
 run_lint() {
     cargo clippy --workspace --all-targets -- -D warnings
     cargo fmt --check
-    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 }
 
 if [ -n "${CI_LINT_ONLY:-}" ]; then

@@ -1,10 +1,11 @@
 //! The long-running solve engine: worker pool over the bounded queue.
 //!
-//! Workers pull family batches from the [`JobQueue`], acquire the shared
-//! [`FamilyState`] through the [`StateCache`], and run each solve in the
-//! batch against the warm state on their own [`ParCtx`] thread team.  The
-//! engine never blocks a submitter on solver work: admission is a bounded
-//! queue operation, and outcomes are delivered through per-job channels.
+//! Workers pull family batches from the bounded `JobQueue`, acquire the
+//! shared [`FamilyState`](crate::state::FamilyState) through the
+//! [`StateCache`], and run each solve in the batch against the warm state
+//! on their own [`ParCtx`] thread team.  The engine never blocks a
+//! submitter on solver work: admission is a bounded queue operation, and
+//! outcomes are delivered through per-job channels.
 //!
 //! ## Live telemetry
 //!

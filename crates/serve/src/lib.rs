@@ -15,7 +15,7 @@
 //!   setup — numerics rerun in full, pinned by tests).
 //! * [`cache`] — [`StateCache`]: bounded LRU over family states with
 //!   build-once semantics under concurrency (per-entry `OnceLock`).
-//! * [`queue`] — [`JobQueue`] *(crate-internal)* plus the public
+//! * [`queue`] — `JobQueue` *(crate-internal)* plus the public
 //!   [`AdmissionPolicy`] / [`QueueStats`]: a bounded queue whose admission
 //!   controller rejects or sheds load past the depth bound, and whose
 //!   dequeue groups same-family jobs into batches.

@@ -9,8 +9,9 @@
 //!   initial CFL and exponent `p`).
 //! * **Inexact Newton** — each timestep solves the linear correction only to
 //!   a loose tolerance (Section 2.4.2).
-//! * **Krylov** ([`gmres`]) — restarted GMRES with modified Gram–Schmidt,
-//!   right-preconditioned so true residual norms are available.
+//! * **Krylov** ([`gmres`](mod@gmres)) — restarted GMRES with modified
+//!   Gram–Schmidt, right-preconditioned so true residual norms are
+//!   available.
 //! * **Schwarz** ([`precond`]) — block Jacobi / additive Schwarz / restricted
 //!   additive Schwarz with ILU(k) subdomain solves; overlap and fill are the
 //!   axes of Table 4.

@@ -81,7 +81,7 @@ pub trait PseudoTransientProblem {
 /// Matrix-free Jacobian-vector products by first-order finite differencing
 /// of the residual: `J v ~ (R(q + eps v) - R(q)) / eps`, with the
 /// pseudo-timestep diagonal added analytically.  This is the paper's
-/// "matrix-free implementation [where] the Jacobian itself is never
+/// "matrix-free implementation \[where\] the Jacobian itself is never
 /// explicitly needed".
 pub struct FdJacobianOperator<'p, P: PseudoTransientProblem> {
     problem: &'p P,
