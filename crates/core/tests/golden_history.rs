@@ -3,8 +3,8 @@
 //! The two benchmark configurations run on tiny meshes: the tuned
 //! incompressible Table 1 row (interlaced, RCM + sorted edges, BCSR b = 4,
 //! block ILU(0) on the same blocks, GMRES(20)) and the compressible
-//! matrix-free solve with point ILU(0) refreshed every 4th step on a
-//! 2-thread team.  The compressible
+//! matrix-free solve with block ILU(0) on the Jacobian's 5×5 vertex blocks,
+//! refreshed every 4th step on a 2-thread team.  The compressible
 //! solve also runs on the benchmark's own 15×8×8 mesh, and assembled in
 //! 5×5 blocks with block ILU(0) refactored every step.  The distributed
 //! solve (`solve_parallel_nks`, point ILU(1) subdomain factors) runs on 4
@@ -57,8 +57,9 @@ fn tuned_options() -> PseudoTransientOptions {
     }
 }
 
-/// The compressible matrix-free options: ILU(0) refreshed every 4th step
-/// on a 2-thread team.
+/// The compressible matrix-free options: ILU(0), which the interlaced
+/// Jacobian's vertex blocks make block ILU(0), refreshed every 4th step on
+/// a 2-thread team.
 fn compressible_options() -> PseudoTransientOptions {
     let mut opts = tuned_options();
     opts.cfl0 = 2.0;
@@ -175,37 +176,37 @@ fn compressible_matrix_free_history_is_pinned() {
     ];
     const RESIDUAL_BITS: &[u64] = &[
         0x3fb57018b0c55c94,
-        0x3facd02c9a03ecea,
-        0x3fa12e50a624c34a,
-        0x3f926575e4cdb76f,
-        0x3f80ca3ec3ae1202,
-        0x3f62202c0bdf0e54,
-        0x3f4f5ca8937759c4,
-        0x3f506d05a0b6dced,
-        0x3f51fa2c1cecf4cd,
-        0x3f53724e55f404ef,
-        0x3f54c0d7863e01cb,
-        0x3f55e396032fc6b5,
-        0x3f56d71e7f656dac,
-        0x3f5797a496a03269,
-        0x3f5822dce7e36be6,
-        0x3f587465d1302bbd,
-        0x3f588b6ed92b4e86,
-        0x3f58566eb4e1ef07,
-        0x3f57dc3ccba56156,
-        0x3f571389c8cbf25e,
-        0x3f55f5bc2e2a3314,
-        0x3f547bea6a22c421,
-        0x3f52a1590eff7c6a,
-        0x3f5061531326e7cd,
-        0x3f4b77aad5ae7ce8,
-        0x3f457195347b762a,
-        0x3f3dcb221246cb87,
-        0x3f30c1bc6bd89dee,
-        0x3f187641eae2c760,
-        0x3eea80c1d16fcb00,
-        0x3e86497f8ba80d49,
-        0x3deba87e61618d35,
+        0x3facd02c9a03eccc,
+        0x3fa12e50a624f743,
+        0x3f926575e4cc9b07,
+        0x3f80ca3ec3ac1e13,
+        0x3f62202c0ba42544,
+        0x3f4f5ca891c051bc,
+        0x3f506d059db53a57,
+        0x3f51fa2c1d53f3e5,
+        0x3f53724e55d623dc,
+        0x3f54c0d785c20a38,
+        0x3f55e3960213e29a,
+        0x3f56d71e7e14288f,
+        0x3f5797a495d608bb,
+        0x3f5822dce67ce1cd,
+        0x3f587465d3dd4c54,
+        0x3f588b6eda1cb876,
+        0x3f58566eb9f630f6,
+        0x3f57dc3ccac9f667,
+        0x3f571389c9293345,
+        0x3f55f5bc2c978ff5,
+        0x3f547bea6acd2f91,
+        0x3f52a1591223af2e,
+        0x3f50615313519493,
+        0x3f4b77aad25d88ec,
+        0x3f4571953386e528,
+        0x3f3dcb220f69f94f,
+        0x3f30c1bc69dbad2e,
+        0x3f187641ed8f431f,
+        0x3eea80c1ecade92b,
+        0x3e8649824bda4e63,
+        0x3deba8822a7c7db1,
     ];
     let h = solve(
         (8, 6, 6),
@@ -228,64 +229,64 @@ fn compressible_matrix_free_benchmark_mesh_history_is_pinned() {
     ];
     const RESIDUAL_BITS: &[u64] = &[
         0x3fb035d084793159,
-        0x3fa6afc4df665ecc,
-        0x3f9dce857bfadf4e,
-        0x3f93025985f9f044,
-        0x3f8655424aec72b8,
-        0x3f756d03da0b2cc2,
-        0x3f5c43ca29d6d661,
-        0x3f54c4090eb11ceb,
-        0x3f58278091a3517a,
-        0x3f592aa2108843a9,
-        0x3f594fb1d85261c7,
-        0x3f5933821da51680,
-        0x3f5900e4eb212f3e,
-        0x3f58c579431d4832,
-        0x3f587ffe8c84db3e,
-        0x3f582b5b2a727cc6,
-        0x3f57d1653a647e1b,
-        0x3f5774de24952fe5,
-        0x3f570a4be12f7448,
-        0x3f569b21cf75dc39,
-        0x3f5625c01a437d01,
-        0x3f55aa943630610c,
-        0x3f552a1a744d878d,
-        0x3f549d87b670c666,
-        0x3f54105b8e9bc651,
-        0x3f538087882dd923,
-        0x3f52eb5d58727407,
-        0x3f5251c7c70c2f36,
-        0x3f51b43c8ba341be,
-        0x3f511459892b9605,
-        0x3f507002099a1b7d,
-        0x3f4f90a3e3651530,
-        0x3f4e3b7a200eb9af,
-        0x3f4ce3e7a67544f3,
-        0x3f4b8191852a5349,
-        0x3f4a1e2fc83db049,
-        0x3f48b735c7bcd5d1,
-        0x3f474dde5f4e70e5,
-        0x3f45de925d5187a9,
-        0x3f446ea7b296aaff,
-        0x3f42fd60343b693f,
-        0x3f41893df3a44b53,
-        0x3f4014ea35438e18,
-        0x3f3d415c1bd80efb,
-        0x3f3a58dc18125581,
-        0x3f376cbde14cc17a,
-        0x3f34851b42611868,
-        0x3f31a0dd21b7d367,
-        0x3f2d861158a80677,
-        0x3f27e6088b1ee562,
-        0x3f2269f7adb4b1fc,
-        0x3f1a60055ca163d0,
-        0x3f10c3a4fd9840ea,
-        0x3f01fe299751d030,
-        0x3ef88469c46b6a79,
-        0x3ed28da801362ded,
-        0x3e9ca0426d5e98e2,
-        0x3e092366fd3e27dd,
-        0x3da1114c4dc2102e,
+        0x3fa6afc4df665ecb,
+        0x3f9dce857bfb13fb,
+        0x3f93025985fb195d,
+        0x3f8655424aeb47d4,
+        0x3f756d03da00654b,
+        0x3f5c43ca29d0d511,
+        0x3f54c4090e21f9a2,
+        0x3f5827808eb029bf,
+        0x3f592aa20f8df29f,
+        0x3f594fb1d8d4dc08,
+        0x3f5933821e2d7c7f,
+        0x3f5900e4ebc1a0a1,
+        0x3f58c579424280d6,
+        0x3f587ffe8dc670cc,
+        0x3f582b5b2a27f945,
+        0x3f57d16539f3bc20,
+        0x3f5774de2414d8fc,
+        0x3f570a4be03997ef,
+        0x3f569b21d00cf66f,
+        0x3f5625c01b48df36,
+        0x3f55aa943557947e,
+        0x3f552a1a74cef7be,
+        0x3f549d87b8991065,
+        0x3f54105b8e2495e6,
+        0x3f53808786dd099c,
+        0x3f52eb5d58bc4525,
+        0x3f5251c7c55d09b5,
+        0x3f51b43c8ae01bee,
+        0x3f51145988113455,
+        0x3f507002087be054,
+        0x3f4f90a3e3a514b8,
+        0x3f4e3b7a22e2013a,
+        0x3f4ce3e7a0473d5d,
+        0x3f4b819183dfa927,
+        0x3f4a1e2fc25a452c,
+        0x3f48b735cb859155,
+        0x3f474dde5c2d98c7,
+        0x3f45de925825932d,
+        0x3f446ea7b28eb580,
+        0x3f42fd602fd5d318,
+        0x3f41893df3adcf4d,
+        0x3f4014ea3a6307cc,
+        0x3f3d415c21903af5,
+        0x3f3a58dc1857ab0e,
+        0x3f376cbddbd7b00a,
+        0x3f34851b41ec7552,
+        0x3f31a0dd2a6d1ac5,
+        0x3f2d86113ca62282,
+        0x3f27e60888a34053,
+        0x3f2269f7ac969756,
+        0x3f1a600551071c7b,
+        0x3f10c3a4e75038dc,
+        0x3f01fe29d0aec55a,
+        0x3ef8846997061ae6,
+        0x3ed28da81eeafd7d,
+        0x3e9ca04254e648a4,
+        0x3e0923cb24fc999c,
+        0x3da11075689df056,
     ];
     let h = solve(
         (15, 8, 8),

@@ -113,8 +113,9 @@ pub struct Discretization<'m> {
     /// experiments are inviscid so this defaults to off).
     viscosity: Option<f64>,
     /// The Jacobian's sparsity pattern and value slots, built by the first
-    /// [`jacobian`](Self::jacobian) call (not at construction, which
-    /// stays as cheap as the setup it belongs to).
+    /// [`jacobian`](Self::jacobian) or
+    /// [`jacobian_pattern`](Self::jacobian_pattern) call (not at
+    /// construction, which stays as cheap as the setup it belongs to).
     jacobian_pattern: OnceLock<JacobianPattern>,
 }
 
@@ -468,9 +469,7 @@ impl<'m> Discretization<'m> {
     /// straight into its value slot, in loop order (edges, viscous edges,
     /// boundary faces), so a given `q` always gives the same bits.
     pub fn jacobian(&self, q: &FieldVec) -> CsrMatrix {
-        let pat = self
-            .jacobian_pattern
-            .get_or_init(|| JacobianPattern::new(self.mesh, self.ncomp(), self.layout));
+        let pat = self.pattern();
         let mut buf = self.record_buffer();
         let states = self.fill_states(q, &mut buf);
         let mut vals = vec![0.0; pat.csr.nnz()];
@@ -483,6 +482,19 @@ impl<'m> Discretization<'m> {
             k.jacobian_boundary(pat, &mut vals);
         });
         CsrMatrix::from_pattern(&pat.csr, vals)
+    }
+
+    /// The point pattern every [`jacobian`](Self::jacobian) of this
+    /// discretization shares, without assembling one (built on first use,
+    /// like the assembly's).  In the interlaced layout it is made of dense
+    /// `ncomp x ncomp` blocks ([`CsrPattern::block_size`]).
+    pub fn jacobian_pattern(&self) -> &CsrPattern {
+        &self.pattern().csr
+    }
+
+    fn pattern(&self) -> &JacobianPattern {
+        self.jacobian_pattern
+            .get_or_init(|| JacobianPattern::new(self.mesh, self.ncomp(), self.layout))
     }
 
     /// Viscous term of the Jacobian: exact (linear) entries on momentum
@@ -1715,6 +1727,27 @@ mod tests {
         // Convertible to BCSR with block size 4.
         let b = fun3d_sparse::bcsr::BcsrMatrix::from_csr(&jac, 4);
         assert_eq!(b.nbrows(), mesh.nverts());
+    }
+
+    #[test]
+    fn jacobian_pattern_block_size_follows_the_layout() {
+        // Interlaced Jacobians are made of dense vertex blocks (4
+        // incompressible, 5 compressible); segregated ones are point-wise.
+        let mesh = BumpChannelSpec::with_dims(5, 4, 4).build();
+        for model in both_models() {
+            for (layout, want) in [
+                (FieldLayout::Interlaced, model.ncomp()),
+                (FieldLayout::Segregated, 1),
+            ] {
+                let disc = Discretization::new(&mesh, model, layout, SpatialOrder::First);
+                let pattern = disc.jacobian_pattern().clone();
+                assert_eq!(pattern.block_size(), want, "{layout:?} {}", model.ncomp());
+                // The pattern comes without an assembly, and the assembled
+                // Jacobians share it.
+                let jac = disc.jacobian(&disc.initial_state());
+                assert!(CsrPattern::ptr_eq(jac.pattern(), &pattern));
+            }
+        }
     }
 
     #[test]

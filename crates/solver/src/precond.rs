@@ -114,8 +114,8 @@ impl BlockIluPrecond {
     }
 
     /// Refactor from a new matrix with the same block pattern, keeping the
-    /// split pattern, level schedules and batch analysis (bitwise identical
-    /// to factoring it afresh).
+    /// split pattern and level schedules (bitwise identical to factoring it
+    /// afresh).
     pub fn refactor(&mut self, a: &BcsrMatrix) -> Result<(), IluError> {
         self.factors.refactor(a)
     }

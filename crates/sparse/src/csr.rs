@@ -14,7 +14,9 @@
 //! step into one preallocated matrix.  Values are never shared.  The
 //! pattern also caches each row's diagonal position (PETSc's `a->diag`),
 //! found on the first diagonal shift, so the per-step pseudo-timestep shift
-//! is one pass over the rows instead of a binary search per row.
+//! is one pass over the rows instead of a binary search per row, and its
+//! block size ([`CsrPattern::block_size`]): the size of the dense, aligned
+//! blocks it is made of, found on first use.
 
 use std::sync::{Arc, OnceLock};
 
@@ -37,10 +39,17 @@ struct PatternData {
     /// [`NO_DIAG`].  Found on the first diagonal shift, never at
     /// construction, so patterns that are never shifted pay nothing.
     diag: OnceLock<Box<[usize]>>,
+    /// [`CsrPattern::block_size`], found on its first call.
+    block_size: OnceLock<usize>,
 }
 
 /// Diagonal-cache marker for a row without a stored diagonal entry.
 const NO_DIAG: usize = usize::MAX;
+
+/// The block sizes [`CsrPattern::block_size`] detects, largest first: the
+/// unknowns per vertex of the compressible (5) and incompressible (4)
+/// models, and the smaller sizes the block kernels unroll.
+const DETECTED_BLOCK_SIZES: [usize; 4] = [5, 4, 3, 2];
 
 impl CsrPattern {
     /// Build a pattern from raw CSR arrays.
@@ -73,6 +82,7 @@ impl CsrPattern {
             row_ptr,
             col_idx,
             diag: OnceLock::new(),
+            block_size: OnceLock::new(),
         }))
     }
 
@@ -102,6 +112,61 @@ impl CsrPattern {
                     }
                 })
                 .collect()
+        })
+    }
+
+    /// Whether the pattern is made of dense, aligned `b x b` blocks: `b`
+    /// divides both dimensions, and the `b` rows of each block row list
+    /// the same columns, in ascending runs of `b` consecutive columns that
+    /// each start at a multiple of `b`.  Point row `bi*b + r` then lists
+    /// row `r` of each block of block row `bi`, in order, and a BCSR copy
+    /// with block size `b` stores no padding.  A block row with no entries
+    /// has no blocks, which counts as blocked.
+    pub fn is_blocked(&self, b: usize) -> bool {
+        let d = &*self.0;
+        b >= 1
+            && d.nrows.is_multiple_of(b)
+            && d.ncols.is_multiple_of(b)
+            && (0..d.nrows / b).all(|bi| self.is_blocked_row(bi, b))
+    }
+
+    /// [`Self::is_blocked`] for block row `bi` alone.
+    fn is_blocked_row(&self, bi: usize, b: usize) -> bool {
+        let d = &*self.0;
+        let row = |i: usize| &d.col_idx[d.row_ptr[i]..d.row_ptr[i + 1]];
+        let first = row(bi * b);
+        if !first.len().is_multiple_of(b) {
+            return false;
+        }
+        let mut next = 0; // the smallest start the next run may have
+        for run in first.chunks_exact(b) {
+            let start = run[0] as usize;
+            if start < next
+                || !start.is_multiple_of(b)
+                || run.iter().zip(start..).any(|(&c, want)| c as usize != want)
+            {
+                return false;
+            }
+            next = start + b;
+        }
+        (bi * b + 1..(bi + 1) * b).all(|i| row(i) == first)
+    }
+
+    /// The size of the dense blocks the pattern is made of: the largest
+    /// `b` in 2..=5 for which it [`is_blocked`](Self::is_blocked), or 1
+    /// when there is none or the pattern stores no entry.  An interlaced
+    /// Jacobian with `b` unknowns per vertex has block size `b` (unless its
+    /// vertex blocks line up into larger ones), a segregated one 1.  Found
+    /// on the first call and cached, like the diagonal positions.
+    pub fn block_size(&self) -> usize {
+        *self.0.block_size.get_or_init(|| {
+            if self.nnz() == 0 {
+                return 1;
+            }
+            DETECTED_BLOCK_SIZES
+                .into_iter()
+                .find(|&b| self.is_blocked(b))
+                .unwrap_or(1)
         })
     }
 }
@@ -648,6 +713,101 @@ mod tests {
         let t = a.transpose();
         assert_ne!(a.pattern(), t.pattern());
         assert_ne!(a, t);
+    }
+
+    /// An `nb x nb` block tridiagonal pattern of dense `b x b` blocks.
+    fn block_tridiagonal(nb: usize, b: usize) -> CsrPattern {
+        let mut row_ptr = vec![0];
+        let mut col_idx = Vec::new();
+        for bi in 0..nb {
+            for _ in 0..b {
+                for bj in bi.saturating_sub(1)..(bi + 2).min(nb) {
+                    col_idx.extend((bj * b..(bj + 1) * b).map(|c| c as u32));
+                }
+                row_ptr.push(col_idx.len());
+            }
+        }
+        CsrPattern::new(nb * b, nb * b, row_ptr, col_idx)
+    }
+
+    /// `p` with row `i`'s columns replaced by `cols`.
+    fn with_row(p: &CsrPattern, i: usize, cols: &[u32]) -> CsrPattern {
+        let d = &*p.0;
+        let mut row_ptr = vec![0];
+        let mut col_idx = Vec::new();
+        for r in 0..d.nrows {
+            if r == i {
+                col_idx.extend_from_slice(cols);
+            } else {
+                col_idx.extend_from_slice(&d.col_idx[d.row_ptr[r]..d.row_ptr[r + 1]]);
+            }
+            row_ptr.push(col_idx.len());
+        }
+        CsrPattern::new(d.nrows, d.ncols, row_ptr, col_idx)
+    }
+
+    #[test]
+    fn block_size_is_the_largest_dense_aligned_block() {
+        for b in 2..=5 {
+            let p = block_tridiagonal(6, b);
+            assert_eq!(p.block_size(), b, "b={b}");
+            assert!(p.is_blocked(b) && p.is_blocked(1));
+        }
+        // A 4x4-blocked pattern is 2x2-blocked too; the larger size wins.
+        let p = block_tridiagonal(5, 4);
+        assert!(p.is_blocked(2));
+        assert_eq!(p.block_size(), 4);
+        // 10x10 blocks are 5x5 and 2x2 blocks: 5, the largest detected.
+        assert_eq!(block_tridiagonal(3, 10).block_size(), 5);
+        // Larger blocks than 5 that no smaller size tiles stay point-wise.
+        assert_eq!(block_tridiagonal(4, 7).block_size(), 1);
+        // A point tridiagonal pattern has no dense blocks.
+        assert_eq!(block_tridiagonal(9, 1).block_size(), 1);
+        assert_eq!(small().pattern().block_size(), 1);
+    }
+
+    #[test]
+    fn block_size_is_one_unless_every_block_row_is_dense_and_aligned() {
+        let p = block_tridiagonal(6, 4);
+        // Row 5 (second row of block row 1) drops column 4: one row of the
+        // group differs.
+        let short: Vec<u32> = (5..12).collect();
+        assert_eq!(with_row(&p, 5, &short).block_size(), 1);
+        // Row 4 lists the same columns as its group but the group is
+        // misaligned: all of block row 1's rows shifted by one column.
+        let mut q = p.clone();
+        for i in 4..8 {
+            q = with_row(&q, i, &(1..13).collect::<Vec<u32>>());
+        }
+        assert!(!q.is_blocked(4));
+        assert_eq!(q.block_size(), 1);
+        // b does not divide n: 4x4 blocks on 20 of 22 rows, a 2x2 block on
+        // the last two.
+        let odd = CsrPattern::new(
+            22,
+            22,
+            (0..=22)
+                .map(|i: usize| 4 * i.min(20) + 2 * i.saturating_sub(20))
+                .collect(),
+            (0..20)
+                .flat_map(|i| (i / 4 * 4..i / 4 * 4 + 4).map(|c| c as u32))
+                .chain([20, 21, 20, 21])
+                .collect(),
+        );
+        assert!(!odd.is_blocked(4));
+        assert_eq!(odd.block_size(), 2, "the 22 rows are 2x2-blocked");
+        let odd = with_row(&odd, 21, &[20]);
+        assert_eq!(odd.block_size(), 1);
+        // No stored entry at all: empty, and 0 rows.
+        assert_eq!(CsrPattern::new(20, 20, vec![0; 21], vec![]).block_size(), 1);
+        assert_eq!(CsrPattern::new(0, 0, vec![0], vec![]).block_size(), 1);
+        // Unsorted runs and repeated columns are not blocks.
+        let mut q = p.clone();
+        for i in 0..4 {
+            q = with_row(&q, i, &[4, 5, 6, 7, 0, 1, 2, 3]);
+        }
+        assert_eq!(q.block_size(), 1);
+        assert!(!with_row(&p, 0, &[0, 1, 2, 2, 4, 5, 6, 7]).is_blocked(4));
     }
 
     #[test]
