@@ -38,7 +38,8 @@ pub struct BoundaryFace {
 pub struct TetMesh {
     coords: Vec<[f64; 3]>,
     tets: Vec<[u32; 4]>,
-    /// Unique edges, canonical `[lo, hi]` with `lo < hi`.
+    /// Unique edges, canonical `[lo, hi]` with `lo < hi` (as given for a
+    /// mesh built [from dual parts](Self::from_dual_parts)).
     edges: Vec<[u32; 2]>,
     /// Directed dual-face area of each edge, oriented from `edge[0]` to
     /// `edge[1]`.
@@ -235,6 +236,36 @@ impl TetMesh {
         }
     }
 
+    /// A mesh given by its median-dual parts alone, with no tetrahedra:
+    /// everything a vertex-centered discretization reads.  Edges keep the
+    /// given order and orientation (each normal points from `edge[0]` to
+    /// `edge[1]`), so a subdomain cut out of a larger mesh can keep that
+    /// mesh's edge order in its own vertex numbering.
+    pub fn from_dual_parts(
+        coords: Vec<[f64; 3]>,
+        edges: Vec<[u32; 2]>,
+        edge_normals: Vec<[f64; 3]>,
+        dual_volumes: Vec<f64>,
+        boundary_faces: Vec<BoundaryFace>,
+    ) -> Self {
+        let nv = coords.len();
+        let lengths_agree = edges.len() == edge_normals.len() && dual_volumes.len() == nv;
+        assert!(lengths_agree, "one normal per edge, one volume per vertex");
+        let mut verts = edges
+            .iter()
+            .flatten()
+            .chain(boundary_faces.iter().flat_map(|f| &f.verts));
+        assert!(verts.all(|&v| (v as usize) < nv), "vertex out of range");
+        Self {
+            coords,
+            tets: Vec::new(),
+            edges,
+            edge_normals,
+            dual_volumes,
+            boundary_faces,
+        }
+    }
+
     /// Number of vertices.
     pub fn nverts(&self) -> usize {
         self.coords.len()
@@ -255,12 +286,14 @@ impl TetMesh {
         &self.coords
     }
 
-    /// Tetrahedra (positively oriented).
+    /// Tetrahedra (positively oriented; none for a mesh built
+    /// [from dual parts](Self::from_dual_parts)).
     pub fn tets(&self) -> &[[u32; 4]] {
         &self.tets
     }
 
-    /// Unique edges `[lo, hi]`.
+    /// Unique edges: `[lo, hi]`, unless built
+    /// [from dual parts](Self::from_dual_parts).
     pub fn edges(&self) -> &[[u32; 2]] {
         &self.edges
     }
@@ -530,6 +563,24 @@ mod tests {
         assert_eq!(m.edges()[m.nedges() - 1], e0);
         assert_eq!(m.edge_normals()[m.nedges() - 1], n0);
         assert!(m.closure_residual() < 1e-12);
+    }
+
+    #[test]
+    fn dual_parts_keep_the_edge_orientation() {
+        let m = unit_cube();
+        let flipped: Vec<[u32; 2]> = m.edges().iter().map(|&[a, b]| [b, a]).collect();
+        let normals = m.edge_normals().iter().map(|&n| scaled(n, -1.0)).collect();
+        let d = TetMesh::from_dual_parts(
+            m.coords().to_vec(),
+            flipped.clone(),
+            normals,
+            m.dual_volumes().to_vec(),
+            m.boundary_faces().to_vec(),
+        );
+        assert_eq!(d.ntets(), 0);
+        assert_eq!(d.edges(), &flipped[..]);
+        assert!(d.closure_residual() < 1e-12);
+        assert_eq!(d.vertex_graph(), m.vertex_graph());
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod op;
 pub mod precond;
 pub mod pseudo;
 
-pub use gmres::{gmres, gmres_with_telemetry, GmresOptions, GmresResult};
+pub use gmres::{gmres, GmresOptions, GmresResult};
 pub use health::{Anomaly, AnomalyKind, HealthConfig, HealthMonitor};
 pub use op::{CsrOperator, LinearOperator, PseudoTransientProblem};
 pub use precond::{AdditiveSchwarz, BlockIluPrecond, IdentityPrecond, IluPrecond, Preconditioner};

@@ -14,7 +14,7 @@
 //! Figure 5 sweeps `CFL_0`; Section 2.4.1 discusses `p` (0.75 with shocks,
 //! up to 1.5 for first-order phases).
 
-use crate::gmres::{gmres_with_events, GmresOptions};
+use crate::gmres::{gmres_with_events, CommSelf, GmresOptions};
 use crate::health::{Anomaly, AnomalyKind, HealthConfig, HealthMonitor};
 use crate::op::{CsrOperator, FdJacobianOperator, PseudoTransientProblem};
 use crate::precond::{AdditiveSchwarz, BlockIluPrecond, IluPrecond, Preconditioner};
@@ -611,15 +611,21 @@ pub fn solve_pseudo_transient_warm<P: PseudoTransientProblem>(
             (None, _) => {
                 let shift: Vec<f64> = d.iter().map(|&v| v / cfl).collect();
                 let op = FdJacobianOperator::new(&*problem, q.to_vec(), r.clone(), shift);
-                gmres_with_events(&op, pc, &rhs, &mut delta, &krylov, tel, events, nstep)
+                gmres_with_events(
+                    &op, pc, &rhs, &mut delta, &krylov, &CommSelf, tel, events, nstep,
+                )
             }
             (Some(_), Some(a)) => {
                 let op = BcsrOperator { a, par: krylov.par };
-                gmres_with_events(&op, pc, &rhs, &mut delta, &krylov, tel, events, nstep)
+                gmres_with_events(
+                    &op, pc, &rhs, &mut delta, &krylov, &CommSelf, tel, events, nstep,
+                )
             }
             (Some(jac), None) => {
                 let op = CsrOperator::with_par(jac, krylov.par);
-                gmres_with_events(&op, pc, &rhs, &mut delta, &krylov, tel, events, nstep)
+                gmres_with_events(
+                    &op, pc, &rhs, &mut delta, &krylov, &CommSelf, tel, events, nstep,
+                )
             }
         };
         drop(krylov_span);
