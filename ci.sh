@@ -97,10 +97,13 @@ grep -q "Phase breakdown (Table 3)" "$smoke_dir/show.log"
     "$smoke_dir/runs/table1.json" > "$smoke_dir/diff.log"
 grep -q "regressions: 0" "$smoke_dir/diff.log"
 
-# Threaded leg: the same workspace tests and smoke gate with a 2-thread
-# team, so the _par kernels and their determinism contract run in CI.  The
-# report must record the thread count, and a threaded self-diff must be
-# clean (threading cannot perturb the metrics the gate compares).
+# Threaded leg: the workspace tests again and the smoke gate with a
+# 2-thread team.  FUN3D_THREADS reaches only the tests built on
+# `BenchArgs::defaults` (the harness `run` tests and the spmv and speedup
+# runner tests); the goldens choose their own thread teams, and the
+# compressible ones already run on 2 threads.  The smoke report must
+# record the thread count, and a threaded self-diff must be clean
+# (threading cannot perturb the metrics the gate compares).
 FUN3D_THREADS=2 cargo test -q --workspace --no-fail-fast
 ./target/release/fun3d-bench run --suite smoke --threads 2 \
     --save-baseline "$smoke_dir/smoke-t2.json" \
@@ -166,6 +169,17 @@ spmv_sample() {
 }
 check_overhead 5 spmv_sample --profile \
     || { echo "ci: profiling overhead check retrying"; check_overhead 5 spmv_sample --profile; }
+
+# Table 5 leg: the hybrid row's flux loop forks through ParCtx from 4,096
+# edges, and --scale 0.001 builds 18,665.  The report must carry the
+# hybrid time and both speedups.
+./target/release/table5 --scale 0.001 --quiet --json "$smoke_dir/table5.json" \
+    > "$smoke_dir/table5.log"
+nedges=$(grep -o '"nedges":"[0-9]*"' "$smoke_dir/table5.json" | tr -dc '0-9')
+[ "${nedges:-0}" -ge 4096 ] || { echo "ci: table5 mesh has $nedges edges, too few to fork"; exit 1; }
+grep -q '"omp_speedup"' "$smoke_dir/table5.json"
+grep -q '"mpi_speedup"' "$smoke_dir/table5.json"
+grep -q '"flux_2thread_omp_s"' "$smoke_dir/table5.json"
 
 # Rank-tracing leg: the `ranks` sweep at 4 simulated ranks with per-rank
 # tracing.  The chrome trace must carry one lane per rank plus message

@@ -52,21 +52,18 @@ pub struct BenchArgs {
     /// Thread-team size for the `_par` kernels (`--threads <n>`; defaults to
     /// `FUN3D_THREADS` or 1).
     pub threads: usize,
-    /// Record per-thread region profiles (`--profile`; defaults to the
-    /// `FUN3D_PROFILE` environment variable).  Runners that honor it wrap
-    /// their timed work in [`BenchArgs::profile_begin`] /
+    /// Record per-thread region profiles (`--profile`).  Runners that honor
+    /// it wrap their timed work in [`BenchArgs::profile_begin`] /
     /// [`BenchArgs::profile_finish`].
     pub profile: bool,
     /// Simulated rank-count cap for the message-passing experiments
     /// (`--ranks <n>`; 0 keeps each runner's default sweep).
     pub ranks: usize,
     /// Record per-rank span timelines, message ledgers, and cross-rank flow
-    /// arrows in the message-passing experiments (`--trace-ranks`; defaults
-    /// to the `FUN3D_TRACE_RANKS` environment variable).
+    /// arrows in the message-passing experiments (`--trace-ranks`).
     pub trace_ranks: bool,
-    /// Turn on live telemetry in runners that serve requests (`--metrics`;
-    /// defaults to the `FUN3D_METRICS` environment variable): windowed
-    /// time-series sampling, per-request traces, and SLO health.
+    /// Turn on live telemetry in runners that serve requests (`--metrics`):
+    /// windowed time-series sampling, per-request traces, and SLO health.
     pub metrics: bool,
     /// Write the collected `fun3d-metrics/1` time series here, plus a
     /// Prometheus text exposition at `<path>.prom`
@@ -104,25 +101,10 @@ impl BenchArgs {
                 .and_then(|v| v.parse().ok())
                 .filter(|&n| n >= 1)
                 .unwrap_or(1),
-            profile: std::env::var("FUN3D_PROFILE")
-                .map(|v| {
-                    let v = v.trim().to_string();
-                    !v.is_empty() && v != "0"
-                })
-                .unwrap_or(false),
+            profile: false,
             ranks: 0,
-            trace_ranks: std::env::var("FUN3D_TRACE_RANKS")
-                .map(|v| {
-                    let v = v.trim().to_string();
-                    !v.is_empty() && v != "0"
-                })
-                .unwrap_or(false),
-            metrics: std::env::var("FUN3D_METRICS")
-                .map(|v| {
-                    let v = v.trim().to_string();
-                    !v.is_empty() && v != "0"
-                })
-                .unwrap_or(false),
+            trace_ranks: false,
+            metrics: false,
             metrics_out: None,
             blackbox: None,
             duplicates: Vec::new(),

@@ -14,7 +14,7 @@ use fun3d_euler::residual::{Discretization, SpatialOrder};
 use fun3d_mesh::generator::MeshFamily;
 use fun3d_solver::gmres::GmresOptions;
 use fun3d_solver::pseudo::{
-    solve_pseudo_transient_with_events, Forcing, PrecondSpec, PseudoTransientOptions,
+    solve_pseudo_transient_warm, Forcing, PrecondSpec, PseudoTransientOptions, WarmStart,
 };
 use fun3d_sparse::ilu::IluOptions;
 use fun3d_telemetry::events::{EventRecord, EventSink, EventStream};
@@ -103,12 +103,13 @@ pub fn run(args: &BenchArgs) -> RunOutcome {
                 ("nthreads".into(), args.par().nthreads().to_string()),
             ],
         });
-        let h = solve_pseudo_transient_with_events(
+        let h = solve_pseudo_transient_warm(
             &mut problem,
             &mut q,
             &opts,
             &Registry::disabled(),
             &sink,
+            &WarmStart::none(),
         );
         say!(
             args,

@@ -12,7 +12,6 @@ pub mod figure3;
 pub mod figure4;
 pub mod figure5;
 pub mod miss_bounds;
-pub mod parallel_nks;
 pub mod ranks;
 pub mod serve;
 pub mod speedup;
@@ -36,7 +35,6 @@ pub fn all() -> Vec<Box<dyn Experiment>> {
         Box::new(figure4::Figure4),
         Box::new(figure5::Figure5),
         Box::new(miss_bounds::MissBounds),
-        Box::new(parallel_nks::ParallelNks),
         Box::new(ranks::Ranks),
         Box::new(serve::Serve),
         Box::new(speedup::Speedup),
@@ -84,7 +82,7 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(names, sorted, "registry must be sorted and duplicate-free");
-        assert_eq!(names.len(), 18);
+        assert_eq!(names.len(), 17);
     }
 
     #[test]

@@ -12,16 +12,16 @@
 //! `rank:<phase>:wait_frac`; its telemetry renders one chrome-trace lane
 //! per rank with message-flow arrows between lanes.
 
-use crate::runners::parallel_nks::{phase_percentages, push_ledger_metrics};
 use crate::{say, BenchArgs, Experiment, RunOutcome};
+use fun3d_comm::{critical_path, MessageLedger};
 use fun3d_core::efficiency::efficiency_from_reports;
 use fun3d_core::parallel_nks::{solve_parallel_nks, ParallelNksOptions, ParallelNksReport};
 use fun3d_euler::model::FlowModel;
 use fun3d_memmodel::machine::MachineSpec;
 use fun3d_mesh::generator::MeshFamily;
 use fun3d_partition::partition_kway;
-use fun3d_telemetry::merge;
 use fun3d_telemetry::report::PerfReport;
+use fun3d_telemetry::{merge, Snapshot};
 
 /// `ranks` as a harness experiment.
 pub struct Ranks;
@@ -39,6 +39,65 @@ impl Experiment for Ranks {
     fn run(&self, args: &BenchArgs) -> RunOutcome {
         run(args)
     }
+}
+
+/// Reduction / implicit-sync / scatter overhead percentages of the busiest
+/// rank, read back from its simulated-time span tree.
+fn phase_percentages(snaps: &[Snapshot]) -> (f64, f64, f64) {
+    let busiest = snaps
+        .iter()
+        .max_by(|a, b| {
+            let t = |s: &Snapshot| {
+                s.spans
+                    .iter()
+                    .filter(|r| r.path.starts_with("sim/"))
+                    .map(|r| r.total_s)
+                    .sum::<f64>()
+            };
+            t(a).partial_cmp(&t(b)).unwrap()
+        })
+        .expect("at least one rank snapshot");
+    let total: f64 = busiest
+        .spans
+        .iter()
+        .filter(|r| r.path.starts_with("sim/"))
+        .map(|r| r.total_s)
+        .sum();
+    let pct = |path: &str| {
+        100.0 * busiest.span(path).map_or(0.0, |r| r.total_s) / total.max(f64::MIN_POSITIVE)
+    };
+    (
+        pct("sim/reduction"),
+        pct("sim/implicit_sync"),
+        pct("sim/scatter"),
+    )
+}
+
+/// Push the critical-path and wait-fraction gate metrics derived from
+/// traced message ledgers onto `report` (a no-op when the run was untraced
+/// and every ledger is empty).
+fn push_ledger_metrics(report: &mut PerfReport, ledgers: &[MessageLedger]) {
+    if ledgers.iter().all(|l| l.ops().is_empty()) {
+        return;
+    }
+    let cp = critical_path(ledgers);
+    report.push_metric("cp:total_s", cp.total_s);
+    report.push_metric("cp:compute_s", cp.compute_s);
+    report.push_metric("cp:exchange_s", cp.exchange_s);
+    report.push_metric("cp:wait_s", cp.wait_s);
+    report.push_metric("cp:hops", cp.hops as f64);
+    let wait_recv: f64 = ledgers.iter().map(|l| l.wait_at_recv_s()).sum();
+    let transfer: f64 = ledgers.iter().map(|l| l.transfer_s()).sum();
+    let wait_coll: f64 = ledgers.iter().map(|l| l.wait_at_collective_s()).sum();
+    let reduce: f64 = ledgers.iter().map(|l| l.reduce_s()).sum();
+    report.push_metric(
+        "rank:scatter:wait_frac",
+        wait_recv / (wait_recv + transfer).max(f64::MIN_POSITIVE),
+    );
+    report.push_metric(
+        "rank:reduction:wait_frac",
+        wait_coll / (wait_coll + reduce).max(f64::MIN_POSITIVE),
+    );
 }
 
 /// Per-step simulated durations on the synchronizing clock (every rank's
@@ -202,7 +261,7 @@ pub fn run(args: &BenchArgs) -> RunOutcome {
 
     // Critical-path attribution of the largest run (traced only).
     if args.trace_ranks {
-        let cp = fun3d_comm::critical_path(&last.ledgers);
+        let cp = critical_path(&last.ledgers);
         say!(
             args,
             "\nCritical path at p={p_max}: {:.3}s total = {:.3}s compute + {:.3}s exchange + {:.3}s wait ({} hops, ends on rank {})",

@@ -3,20 +3,21 @@
 //! per node.
 //!
 //! Two things are *measured* on the host: the real speedup of the edge-loop
-//! flux kernel with a 2-thread team using the paper's private-array + gather
-//! reduction, and the same work split as two subdomain "processes" (cut
-//! edges duplicated — the redundant work that grows with subdomain count).
-//! The machine-model extrapolation then reproduces the paper's node counts.
+//! flux kernel on a 2-thread [`ParCtx`] using the paper's private-array +
+//! gather reduction, and the same work split as two subdomain "processes"
+//! (cut edges duplicated — the redundant work that grows with subdomain
+//! count).  The machine-model extrapolation then reproduces the paper's
+//! node counts.
 
 use crate::{perturbed_state, say, time_median, BenchArgs, Experiment, RunOutcome};
-use fun3d_comm::smp::ThreadTeam;
 use fun3d_euler::field::FieldVec;
 use fun3d_euler::model::FlowModel;
-use fun3d_euler::residual::{Discretization, SpatialOrder};
+use fun3d_euler::residual::{Discretization, SpatialOrder, VertexStates};
 use fun3d_memmodel::machine::MachineSpec;
 use fun3d_mesh::generator::MeshFamily;
 use fun3d_partition::partition_kway;
 use fun3d_sparse::layout::FieldLayout;
+use fun3d_sparse::par::ParCtx;
 
 /// `table5` as a harness experiment.
 pub struct Table5;
@@ -36,14 +37,37 @@ impl Experiment for Table5 {
     }
 }
 
+/// The hybrid row's flux evaluation into `res`: each thread of `ctx` runs
+/// [`Discretization::edge_flux_residual`] over its static chunk of the
+/// edges into a private array, and the private arrays are then added into
+/// the zeroed `res` in ascending thread order — the OpenMP private-array
+/// scheme of Section 2.5, whose gather is one extra residual sweep per
+/// thread.  Deterministic for a fixed thread count; it matches the
+/// one-thread edge loop to rounding.
+fn hybrid_flux(disc: &Discretization, states: &VertexStates, ctx: &ParCtx, res: &mut FieldVec) {
+    let privates = ctx.map_chunks("hybrid_flux", disc.mesh().nedges(), |_, range| {
+        let mut local = FieldVec::zeros(disc.mesh().nverts(), disc.ncomp(), disc.layout());
+        disc.edge_flux_residual(states, &mut local, range);
+        local
+    });
+    let res = res.as_mut_slice();
+    res.iter_mut().for_each(|x| *x = 0.0);
+    for private in &privates {
+        for (r, p) in res.iter_mut().zip(private.as_slice()) {
+            *r += p;
+        }
+    }
+}
+
 /// Regenerate Table 5 once.
 pub fn run(args: &BenchArgs) -> RunOutcome {
     let spec = args.family_spec(MeshFamily::Large);
     let mesh = spec.build();
     say!(
         args,
-        "Table 5 regenerator: {} vertices (paper: 2.8M; scale {:.3}), flux phase only",
+        "Table 5 regenerator: {} vertices, {} edges (paper: 2.8M vertices; scale {:.3}), flux phase only",
         mesh.nverts(),
+        mesh.nedges(),
         args.scale
     );
     let disc = Discretization::new(
@@ -54,7 +78,6 @@ pub fn run(args: &BenchArgs) -> RunOutcome {
     );
     let q = perturbed_state(&disc, 0.01);
     let nedges = mesh.nedges();
-    let n = disc.nunknowns();
 
     // Every flux evaluation below runs the vertex pass once, before any
     // edge range, and shares its states across ranges and threads.
@@ -69,16 +92,10 @@ pub fn run(args: &BenchArgs) -> RunOutcome {
     });
 
     // --- Real measurement: 2 threads, private arrays + gather (OpenMP) ---
-    let team = ThreadTeam::new(2);
-    let mut result = vec![0.0; n];
+    let ctx = ParCtx::new(2);
     let t2_omp = time_median(5, || {
-        result.iter_mut().for_each(|x| *x = 0.0);
         let states = disc.vertex_states(&q, &mut ws);
-        team.parallel_for_private_reduce(nedges, &mut result, |_, range, private| {
-            let mut local = FieldVec::zeros(mesh.nverts(), 4, FieldLayout::Interlaced);
-            disc.edge_flux_residual(&states, &mut local, range);
-            private.copy_from_slice(local.as_slice());
-        });
+        hybrid_flux(&disc, &states, &ctx, &mut res);
     });
 
     // --- Real measurement: 2 "MPI processes" (edge split by subdomain,
@@ -207,7 +224,8 @@ pub fn run(args: &BenchArgs) -> RunOutcome {
 
     let mut perf = fun3d_telemetry::report::PerfReport::new("table5")
         .with_meta("machine", "asci_red")
-        .with_meta("nverts", mesh.nverts().to_string());
+        .with_meta("nverts", mesh.nverts().to_string())
+        .with_meta("nedges", nedges.to_string());
     args.annotate(&mut perf);
     perf.push_metric("flux_1thread_s", t1);
     perf.push_metric("flux_2thread_omp_s", t2_omp);
@@ -216,4 +234,57 @@ pub fn run(args: &BenchArgs) -> RunOutcome {
     perf.push_metric("mpi_speedup", t1 / t2_mpi);
     perf.push_metric("cut_edge_fraction", duplicated as f64 / nedges as f64);
     perf.into()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fun3d_mesh::generator::BumpChannelSpec;
+
+    /// The hybrid flux is the per-thread chunks summed in ascending thread
+    /// order, bit for bit, and the one-thread edge loop to rounding — on a
+    /// mesh large enough that the region really forks.
+    #[test]
+    fn hybrid_flux_is_the_ordered_sum_of_its_chunks() {
+        let mesh = BumpChannelSpec::with_dims(14, 8, 8).build();
+        let nedges = mesh.nedges();
+        assert!(nedges >= 4096, "{nedges} edges do not fork");
+        let disc = Discretization::new(
+            &mesh,
+            FlowModel::incompressible(),
+            FieldLayout::Interlaced,
+            SpatialOrder::First,
+        );
+        let q = perturbed_state(&disc, 0.01);
+        let mut ws = disc.workspace();
+        let states = disc.vertex_states(&q, &mut ws);
+        let zeros = || FieldVec::zeros(mesh.nverts(), disc.ncomp(), disc.layout());
+        let mut serial = zeros();
+        disc.edge_flux_residual(&states, &mut serial, 0..nedges);
+        let scale = serial.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        let bits = |v: &FieldVec| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for nthreads in [2, 3] {
+            let ctx = ParCtx::new(nthreads);
+            let mut want = zeros();
+            for t in 0..nthreads {
+                let mut chunk = zeros();
+                disc.edge_flux_residual(&states, &mut chunk, ctx.chunk(nedges, t));
+                for (w, c) in want.as_mut_slice().iter_mut().zip(chunk.as_slice()) {
+                    *w += c;
+                }
+            }
+            let mut got = zeros();
+            hybrid_flux(&disc, &states, &ctx, &mut got);
+            assert!(
+                bits(&got) == bits(&want),
+                "nthreads={nthreads}: not the ordered sum"
+            );
+            for (g, s) in got.as_slice().iter().zip(serial.as_slice()) {
+                assert!(
+                    (g - s).abs() <= 1e-12 * scale,
+                    "nthreads={nthreads}: {g} vs {s}"
+                );
+            }
+        }
+    }
 }

@@ -261,10 +261,14 @@ mod tests {
 
     #[test]
     fn instrumented_scatter_emits_events() {
-        use crate::world::run_world_instrumented;
+        use crate::world::{run_world_with, WorldOptions};
         let (n, owner, edges) = path_setup();
         let plans = build_scatter_plans(n, &owner, &edges, 2);
-        let out = run_world_instrumented(2, &MachineSpec::asci_red(), true, |r| {
+        let opts = WorldOptions {
+            instrument: true,
+            trace_ranks: false,
+        };
+        let out = run_world_with(2, &MachineSpec::asci_red(), opts, |r| {
             let (owned, ghosts, plan) = &plans[r.id()];
             let mut local = vec![0.0; owned.len() + ghosts.len()];
             for (li, &g) in owned.iter().enumerate() {

@@ -8,9 +8,9 @@
 //! the substrate has no dependencies outside the standard library.
 //!
 //! Each rank carries a [`fun3d_telemetry::Registry`]: disabled (zero-cost)
-//! under [`run_world`], enabled per rank under [`run_world_instrumented`],
-//! where collectives and scatters record spans under the same schema the
-//! solver uses.
+//! under [`run_world`], enabled per rank under [`run_world_with`] with
+//! [`WorldOptions::instrument`], where collectives and scatters record spans
+//! under the same schema the solver uses.
 
 use crate::clock::SimClock;
 use crate::ranktrace::{LedgerOp, MessageLedger, RankTracer};
@@ -37,13 +37,13 @@ pub struct Rank {
     rx: Vec<Receiver<Msg>>,
     /// The simulated clock.
     pub clock: SimClock,
-    /// Per-rank profiling registry (disabled unless the world was started
-    /// with [`run_world_instrumented`]).  Cloning it is cheap; clone before
-    /// opening spans around calls that need `&mut self`.
+    /// Per-rank profiling registry (disabled unless [`WorldOptions`] asks
+    /// for instrumentation).  Cloning it is cheap; clone before opening
+    /// spans around calls that need `&mut self`.
     pub telemetry: Registry,
-    /// Per-rank structured event sink (enabled together with `telemetry`
-    /// under [`run_world_instrumented`]); scatters emit
-    /// [`fun3d_telemetry::events::EventRecord::Scatter`] records into it.
+    /// Per-rank structured event sink (enabled together with `telemetry`);
+    /// scatters emit [`fun3d_telemetry::events::EventRecord::Scatter`]
+    /// records into it.
     pub events: EventSink,
     /// Per-rank message ledger (enabled under [`run_world_with`] when
     /// `trace_ranks` is set): every send, receive, and collective with its
@@ -240,7 +240,7 @@ pub struct WorldOptions {
 
 /// Run an SPMD program: `nranks` threads each execute `f(rank)`; returns the
 /// per-rank results in rank order.  Telemetry is disabled (zero overhead);
-/// use [`run_world_instrumented`] to profile.
+/// use [`run_world_with`] to profile or trace.
 ///
 /// # Panics
 /// Propagates any rank's panic.
@@ -249,37 +249,14 @@ where
     R: Send,
     F: Fn(&mut Rank) -> R + Sync,
 {
-    run_world_instrumented(nranks, machine, false, f)
-}
-
-/// Like [`run_world`] but with per-rank telemetry registries enabled when
-/// `instrument` is true; each rank's profile is read back via
-/// `rank.telemetry.snapshot()` inside `f`.
-pub fn run_world_instrumented<R, F>(
-    nranks: usize,
-    machine: &MachineSpec,
-    instrument: bool,
-    f: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&mut Rank) -> R + Sync,
-{
-    run_world_with(
-        nranks,
-        machine,
-        WorldOptions {
-            instrument,
-            trace_ranks: false,
-        },
-        f,
-    )
+    run_world_with(nranks, machine, WorldOptions::default(), f)
 }
 
 /// Like [`run_world`] with explicit [`WorldOptions`]: `instrument` enables
-/// per-rank telemetry/events, `trace_ranks` additionally attaches a
-/// [`RankTracer`] to each clock and an enabled [`MessageLedger`] to each
-/// rank (read them back inside `f`, e.g. via `std::mem::take`).
+/// per-rank telemetry/events (read each rank's profile back via
+/// `rank.telemetry.snapshot()` inside `f`), `trace_ranks` additionally
+/// attaches a [`RankTracer`] to each clock and an enabled [`MessageLedger`]
+/// to each rank (read them back inside `f`, e.g. via `std::mem::take`).
 pub fn run_world_with<R, F>(
     nranks: usize,
     machine: &MachineSpec,
@@ -476,7 +453,11 @@ mod tests {
 
     #[test]
     fn instrumented_world_records_collective_spans() {
-        let snaps = run_world_instrumented(3, &machine(), true, |r| {
+        let opts = WorldOptions {
+            instrument: true,
+            trace_ranks: false,
+        };
+        let snaps = run_world_with(3, &machine(), opts, |r| {
             r.barrier();
             r.allreduce_sum_scalar(1.0);
             r.telemetry.snapshot()

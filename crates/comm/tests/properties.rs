@@ -2,7 +2,6 @@
 
 use fun3d_comm::ranktrace::critical_path;
 use fun3d_comm::scatter::build_scatter_plans;
-use fun3d_comm::smp::ThreadTeam;
 use fun3d_comm::world::{run_world, run_world_with, WorldOptions};
 use fun3d_memmodel::machine::MachineSpec;
 use proptest::prelude::*;
@@ -117,20 +116,6 @@ proptest! {
         }
     }
 
-    /// Static chunks always partition the iteration space exactly.
-    #[test]
-    fn team_chunks_partition(n in 0usize..200, nthreads in 1usize..9) {
-        let team = ThreadTeam::new(nthreads);
-        let mut covered = vec![false; n];
-        for t in 0..nthreads {
-            for i in team.chunk(n, t) {
-                prop_assert!(!covered[i]);
-                covered[i] = true;
-            }
-        }
-        prop_assert!(covered.iter().all(|&c| c));
-    }
-
     /// Ledger conservation: over all ranks, total point-to-point bytes (and
     /// message counts) sent equal bytes received, and per-rank ledger
     /// counts match the scatter plan's per-execute message counts.
@@ -219,22 +204,5 @@ proptest! {
         // Every second along the path is attributed exactly once.
         prop_assert!((cp.accounted_s() - cp.total_s).abs() <= 1e-9 * cp.total_s.max(1.0));
         prop_assert!(cp.compute_s >= 0.0 && cp.exchange_s >= 0.0 && cp.wait_s >= 0.0);
-    }
-
-    /// Private-array reduction is exactly the sequential accumulation.
-    #[test]
-    fn private_reduce_matches_sequential(n in 1usize..120, nthreads in 1usize..5, width in 1usize..9) {
-        let team = ThreadTeam::new(nthreads);
-        let mut expect = vec![0.0; width];
-        for i in 0..n {
-            expect[i % width] += (i * i) as f64;
-        }
-        let mut got = vec![0.0; width];
-        team.parallel_for_private_reduce(n, &mut got, |_, range, private| {
-            for i in range {
-                private[i % width] += (i * i) as f64;
-            }
-        });
-        prop_assert_eq!(got, expect);
     }
 }

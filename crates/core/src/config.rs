@@ -144,30 +144,6 @@ pub fn apply_orderings(mesh: TetMesh, vord: VertexOrdering, eord: EdgeOrdering) 
     mesh
 }
 
-/// A record of one configured run, convertible to a
-/// [`fun3d_telemetry::report::PerfReport`] for EXPERIMENTS.md tooling.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunRecord {
-    /// Human-readable experiment id (e.g. "table1-row3").
-    pub experiment: String,
-    /// Mesh vertices.
-    pub nverts: usize,
-    /// Quantity name -> value.
-    pub metrics: Vec<(String, f64)>,
-}
-
-impl RunRecord {
-    /// Convert into the stable `fun3d-perf/1` JSON report schema.
-    pub fn to_perf_report(&self) -> fun3d_telemetry::report::PerfReport {
-        let mut r = fun3d_telemetry::report::PerfReport::new(self.experiment.clone())
-            .with_meta("nverts", self.nverts.to_string());
-        for (k, v) in &self.metrics {
-            r.push_metric(k.clone(), *v);
-        }
-        r
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

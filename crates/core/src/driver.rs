@@ -3,7 +3,7 @@
 use crate::config::CaseConfig;
 use crate::problem::EulerProblem;
 use fun3d_euler::residual::Discretization;
-use fun3d_solver::pseudo::{solve_pseudo_transient_with_events, SolveHistory};
+use fun3d_solver::pseudo::{solve_pseudo_transient_warm, SolveHistory, WarmStart};
 use fun3d_telemetry::events::{EventRecord, EventSink};
 use fun3d_telemetry::Registry;
 
@@ -61,7 +61,8 @@ pub fn run_case_instrumented(
     } else {
         nks.bcsr_block = None;
     }
-    let history = solve_pseudo_transient_with_events(&mut problem, &mut q, &nks, tel, events);
+    let cold = WarmStart::none();
+    let history = solve_pseudo_transient_warm(&mut problem, &mut q, &nks, tel, events, &cold);
     CaseReport {
         nverts: mesh.nverts(),
         nunknowns: mesh.nverts() * cfg.model.ncomp(),

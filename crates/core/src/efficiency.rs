@@ -99,7 +99,7 @@ pub fn implementation_efficiency(base: &ScalingPoint, at: &ScalingPoint) -> f64 
 /// multi-rank snapshots sum times and counters over ranks, and GMRES
 /// iterations are global (every rank counts the same ones) — so producers
 /// of merged reports must push explicit per-run `linear_its`/`time_s`
-/// metrics rather than rely on the fallback (as `parallel_nks` does).
+/// metrics rather than rely on the fallback (as the `ranks` runner does).
 pub fn scaling_point_from_report(report: &PerfReport) -> Option<ScalingPoint> {
     let nks = report.span("nks");
     let nprocs = report

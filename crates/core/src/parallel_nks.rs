@@ -287,6 +287,9 @@ pub fn solve_parallel_nks(
         let mut history = vec![r0];
         let mut lin_iters = Vec::new();
         let mut marks = vec![rank.clock.now()];
+        // The diagonal block's pattern is the partition's, so its symbolic
+        // ILU analysis runs on the first step only; later steps refactor.
+        let mut ilu: Option<IluFactors> = None;
 
         for _step in 0..opts.max_steps {
             if rnorm / r0 <= opts.target_reduction {
@@ -305,7 +308,12 @@ pub fn solve_parallel_nks(
             let prec = {
                 let _g = tel.span("ilu");
                 let diag = mat.diagonal_block();
-                IluFactors::factor(&diag, &opts.ilu).expect("subdomain ILU failed")
+                let factored = match &mut ilu {
+                    Some(f) => f.refactor(&diag),
+                    None => IluFactors::factor(&diag, &opts.ilu).map(|f| ilu = Some(f)),
+                };
+                factored.expect("subdomain ILU failed");
+                ilu.as_ref().expect("factored above")
             };
             let rhs: Vec<f64> = res[..nown].iter().map(|r| -r).collect();
             let mut delta = vec![0.0; nown];
@@ -313,7 +321,7 @@ pub fn solve_parallel_nks(
                 let _g = tel.span("gmres");
                 let comm = RankComm::new(rank);
                 let op = GhostedOperator::new(&mat, &comm);
-                let pc = BlockJacobiIlu::new(&prec, &comm);
+                let pc = BlockJacobiIlu::new(prec, &comm);
                 let (tel, events) = (Registry::disabled(), EventSink::disabled());
                 let krylov = &opts.krylov;
                 gmres_with_events(&op, &pc, &rhs, &mut delta, krylov, &comm, &tel, &events, 0)

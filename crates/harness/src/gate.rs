@@ -26,19 +26,17 @@ pub struct GateConfig {
     /// keeps each run's `BenchArgs` default (`FUN3D_THREADS` or 1).
     pub threads: Option<usize>,
     /// Force per-thread region profiling on or off for every entry
-    /// (`--profile`); `None` keeps each run's `BenchArgs` default
-    /// (`FUN3D_PROFILE` or off).
+    /// (`--profile`); `None` keeps each run's `BenchArgs` default (off).
     pub profile: Option<bool>,
     /// Override the simulated rank-count cap for every entry (`--ranks`);
     /// `None` keeps each runner's default sweep.
     pub ranks: Option<usize>,
     /// Force per-rank tracing on or off for every entry (`--trace-ranks`);
-    /// `None` keeps each run's `BenchArgs` default (`FUN3D_TRACE_RANKS` or
-    /// off).
+    /// `None` keeps each run's `BenchArgs` default (off).
     pub trace_ranks: Option<bool>,
     /// Force live serving telemetry on or off for every entry
-    /// (`--metrics`); `None` keeps each run's `BenchArgs` default
-    /// (`FUN3D_METRICS` or off).  Only runners that serve requests react.
+    /// (`--metrics`); `None` keeps each run's `BenchArgs` default (off).
+    /// Only runners that serve requests react.
     pub metrics: Option<bool>,
     /// Comparison tolerances.
     pub tol: Tolerance,

@@ -320,8 +320,8 @@ pub fn render_profile(run: &LoadedRun, other: Option<&LoadedRun>) -> String {
     let bw = bandwidth_spans(r);
     if regions.is_empty() && bw.is_empty() {
         out.push_str(
-            "\nno profile data in this report: rerun with --profile (or FUN3D_PROFILE=1)\n\
-             to record per-thread region timings and byte-traffic counters.\n",
+            "\nno profile data in this report: rerun with --profile to record\n\
+             per-thread region timings and byte-traffic counters.\n",
         );
         return out;
     }
@@ -560,8 +560,8 @@ pub fn render_comm(run: &LoadedRun, other: Option<&LoadedRun>) -> String {
     let rows = rank_phase_rows(r);
     if rows.is_empty() {
         out.push_str(
-            "\nno per-rank trace in this report: rerun with --trace-ranks (or\n\
-             FUN3D_TRACE_RANKS=1) to record rank timelines and message ledgers.\n",
+            "\nno per-rank trace in this report: rerun with --trace-ranks to\n\
+             record rank timelines and message ledgers.\n",
         );
         return out;
     }
@@ -1067,9 +1067,9 @@ pub fn render_live(run: &LoadedRun, other: Option<&LoadedRun>) -> String {
     ));
     if run.metrics.is_empty() {
         out.push_str(
-            "\nno live metrics beside this report: rerun with --metrics (or\n\
-             FUN3D_METRICS=1) so the collector writes the <stem>.metrics.jsonl\n\
-             time series this view renders.\n",
+            "\nno live metrics beside this report: rerun with --metrics so the\n\
+             collector writes the <stem>.metrics.jsonl time series this view\n\
+             renders.\n",
         );
         return out;
     }

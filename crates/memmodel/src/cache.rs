@@ -145,15 +145,6 @@ impl SetAssocCache {
         self.misses
     }
 
-    /// Miss ratio (0 when no accesses yet).
-    pub fn miss_ratio(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-
     /// Reset counters but keep contents (for warm-cache measurements).
     pub fn reset_counters(&mut self) {
         self.accesses = 0;

@@ -88,11 +88,6 @@ pub fn run_stream(n: usize, reps: usize) -> StreamResult {
     }
 }
 
-/// Default measurement: 8M doubles per array (~64 MB each), 3 repetitions.
-pub fn run_stream_default() -> StreamResult {
-    run_stream(8 * 1024 * 1024, 3)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

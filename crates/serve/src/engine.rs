@@ -353,11 +353,6 @@ impl Engine {
         }
     }
 
-    /// Current queue depth (jobs admitted, not yet picked up).
-    pub fn queue_depth_now(&self) -> usize {
-        self.shared.queue.depth_now()
-    }
-
     /// Whether live telemetry is on.
     pub fn live_enabled(&self) -> bool {
         self.shared.live_on.load(Ordering::Relaxed)

@@ -77,18 +77,6 @@ impl ScenarioClass {
     pub fn bcsr_block(&self) -> Option<usize> {
         (self.layout.blocked && self.layout.interlaced).then(|| self.block_size())
     }
-
-    /// Expand into a full `CaseConfig` with the given solver options (the
-    /// direct, uncached path runs through this).
-    pub fn to_case(&self, nks: PseudoTransientOptions) -> CaseConfig {
-        CaseConfig {
-            mesh: self.mesh,
-            model: self.model,
-            layout: self.layout,
-            order: self.order,
-            nks,
-        }
-    }
 }
 
 /// Bit-exact fingerprint of a [`ScenarioClass`] — the cache key.  Floating

@@ -31,6 +31,6 @@ pub use health::{Anomaly, AnomalyKind, HealthConfig, HealthMonitor};
 pub use op::{CsrOperator, LinearOperator, PseudoTransientProblem};
 pub use precond::{AdditiveSchwarz, BlockIluPrecond, IdentityPrecond, IluPrecond, Preconditioner};
 pub use pseudo::{
-    solve_pseudo_transient, solve_pseudo_transient_instrumented, solve_pseudo_transient_warm,
-    PhaseTimes, PrecondSpec, PseudoTransientOptions, SolveHistory, StepRecord, WarmStart,
+    solve_pseudo_transient, solve_pseudo_transient_warm, PhaseTimes, PrecondSpec,
+    PseudoTransientOptions, SolveHistory, StepRecord, WarmStart,
 };

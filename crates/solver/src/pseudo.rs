@@ -383,49 +383,33 @@ impl WarmStart {
     }
 }
 
-/// Run ΨNKS continuation on `problem` starting from `q` (updated in place).
+/// Run ΨNKS continuation on `problem` starting from `q` (updated in place),
+/// with no profiling, no events and a cold start.
 pub fn solve_pseudo_transient<P: PseudoTransientProblem>(
     problem: &mut P,
     q: &mut [f64],
     opts: &PseudoTransientOptions,
 ) -> SolveHistory {
-    solve_pseudo_transient_instrumented(problem, q, opts, &Registry::disabled())
+    let (tel, events) = (Registry::disabled(), EventSink::disabled());
+    solve_pseudo_transient_warm(problem, q, opts, &tel, &events, &WarmStart::none())
 }
 
-/// [`solve_pseudo_transient`] with profiling: records an `nks` span tree
-/// (`nks/residual`, `nks/jacobian`, `nks/precond`, `nks/krylov/gmres/...`)
-/// plus `steps` / `linear_iters` counters in `tel`.  Instrumentation only
-/// observes the clock, so the residual history is bitwise identical to the
-/// uninstrumented solve.
-pub fn solve_pseudo_transient_instrumented<P: PseudoTransientProblem>(
-    problem: &mut P,
-    q: &mut [f64],
-    opts: &PseudoTransientOptions,
-    tel: &Registry,
-) -> SolveHistory {
-    solve_pseudo_transient_with_events(problem, q, opts, tel, &EventSink::disabled())
-}
-
-/// [`solve_pseudo_transient_instrumented`] that additionally emits one
-/// [`EventRecord::NewtonStep`] per pseudo-timestep (mirroring the
-/// [`StepRecord`] pushed into the history, plus the step's linear forcing
-/// tolerance η) and per-iteration [`EventRecord::KrylovIter`] records from
-/// the inner GMRES solves into `events`.
-pub fn solve_pseudo_transient_with_events<P: PseudoTransientProblem>(
-    problem: &mut P,
-    q: &mut [f64],
-    opts: &PseudoTransientOptions,
-    tel: &Registry,
-    events: &EventSink,
-) -> SolveHistory {
-    solve_pseudo_transient_warm(problem, q, opts, tel, events, &WarmStart::none())
-}
-
-/// [`solve_pseudo_transient_with_events`] seeded with [`WarmStart`] templates
-/// from a previous solve on the same scenario family.  With matching
-/// templates the per-solve symbolic setup (ILU(k) analysis, level schedules,
-/// BCSR block-structure merge) is skipped; the numeric results are bitwise
-/// identical to the cold path either way.
+/// [`solve_pseudo_transient`] with every observer and a warm start:
+///
+/// * `tel` records an `nks` span tree (`nks/residual`, `nks/jacobian`,
+///   `nks/precond`, `nks/krylov/gmres/...`) plus `steps` / `linear_iters`
+///   counters;
+/// * `events` receives one [`EventRecord::NewtonStep`] per pseudo-timestep
+///   (mirroring the [`StepRecord`] pushed into the history, plus the step's
+///   linear forcing tolerance η) and per-iteration
+///   [`EventRecord::KrylovIter`] records from the inner GMRES solves;
+/// * `warm` seeds the solve with templates from a previous solve on the
+///   same scenario family: with matching templates the per-solve symbolic
+///   setup (ILU(k) analysis, level schedules, BCSR block-structure merge)
+///   is skipped.  [`WarmStart::none`] is the cold start.
+///
+/// Observers only read the clock, and a warm start skips only symbolic
+/// work, so the residual history is bitwise identical to the plain solve's.
 pub fn solve_pseudo_transient_warm<P: PseudoTransientProblem>(
     problem: &mut P,
     q: &mut [f64],
@@ -1093,12 +1077,13 @@ mod tests {
         let mut p = Bratu1d::new(25, 1.0);
         let mut q = vec![0.0; 25];
         let sink = EventSink::enabled();
-        let h = solve_pseudo_transient_with_events(
+        let h = solve_pseudo_transient_warm(
             &mut p,
             &mut q,
             &default_opts(),
             &Registry::disabled(),
             &sink,
+            &WarmStart::none(),
         );
         assert!(h.converged);
         let evs = sink.drain();
@@ -1567,12 +1552,13 @@ mod tests {
         let mut q = vec![0.0; 20];
         q[7] = f64::NAN;
         let sink = EventSink::enabled();
-        let h = solve_pseudo_transient_with_events(
+        let h = solve_pseudo_transient_warm(
             &mut p,
             &mut q,
             &default_opts(),
             &Registry::disabled(),
             &sink,
+            &WarmStart::none(),
         );
         assert!(!h.converged);
         assert_eq!(h.nsteps(), 0, "must abort before stepping");
@@ -1664,12 +1650,13 @@ mod tests {
             };
             let mut q = vec![0.0; p.n()];
             let sink = EventSink::enabled();
-            let h = solve_pseudo_transient_with_events(
+            let h = solve_pseudo_transient_warm(
                 &mut p,
                 &mut q,
                 opts,
                 &Registry::disabled(),
                 &sink,
+                &WarmStart::none(),
             );
             (h, sink)
         }
@@ -1715,8 +1702,9 @@ mod tests {
             let mut q = vec![0.0; 25];
             let tel = Registry::enabled(0);
             let sink = EventSink::enabled();
+            let warm = WarmStart::none();
             let h =
-                solve_pseudo_transient_with_events(&mut p, &mut q, &default_opts(), &tel, &sink);
+                solve_pseudo_transient_warm(&mut p, &mut q, &default_opts(), &tel, &sink, &warm);
             (h, q)
         };
         let (h_off, q_off) = run();

@@ -79,15 +79,6 @@ impl ParCtx {
         Self { nthreads: 1 }
     }
 
-    /// Read the thread count from `FUN3D_THREADS` (defaults to 1).
-    pub fn from_env() -> Self {
-        let n = std::env::var("FUN3D_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(1);
-        Self::new(n)
-    }
-
     /// Number of worker threads.
     pub fn nthreads(&self) -> usize {
         self.nthreads
@@ -511,7 +502,7 @@ mod tests {
     fn chunks_cover_exactly_with_remainder() {
         for nthreads in 1..9 {
             let ctx = ParCtx::new(nthreads);
-            for n in [0usize, 1, 2, 3, 7, 100, 101] {
+            for n in [0usize, 1, 2, 3, 7, 100, 101, 199] {
                 let mut next = 0;
                 for t in 0..nthreads {
                     let r = ctx.chunk(n, t);

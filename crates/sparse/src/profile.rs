@@ -112,18 +112,6 @@ pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Enable profiling when the `FUN3D_PROFILE` environment variable is set to
-/// anything but `0` or the empty string; returns the resulting state.
-pub fn enable_from_env() -> bool {
-    if let Ok(v) = std::env::var("FUN3D_PROFILE") {
-        let v = v.trim();
-        if !v.is_empty() && v != "0" {
-            set_enabled(true);
-        }
-    }
-    is_enabled()
-}
-
 /// Discard all accumulated region data (leaves the enabled flag alone).
 pub fn reset() {
     table().lock().unwrap().clear();

@@ -191,22 +191,6 @@ pub fn norm2_par(x: &[f64], ctx: &ParCtx) -> f64 {
     dot_par(x, x, ctx).sqrt()
 }
 
-/// Analytic bytes moved by one [`axpy`]/[`axpby`] on length-`n` vectors:
-/// stream `x` in, read-modify-write `y` (8 B each way).
-pub fn axpy_traffic_bytes(n: usize) -> f64 {
-    24.0 * n as f64
-}
-
-/// Analytic bytes moved by one [`waxpby`]: read `x` and `y`, write `w`.
-pub fn waxpby_traffic_bytes(n: usize) -> f64 {
-    24.0 * n as f64
-}
-
-/// Analytic bytes moved by one [`dot`] (or [`norm2`]): read both operands.
-pub fn dot_traffic_bytes(n: usize) -> f64 {
-    16.0 * n as f64
-}
-
 /// Set every entry of `x` to `v`.
 pub fn set(v: f64, x: &mut [f64]) {
     for xi in x {

@@ -12,7 +12,7 @@ use petsc_fun3d_repro::euler::residual::{Discretization, SpatialOrder};
 use petsc_fun3d_repro::mesh::generator::BumpChannelSpec;
 use petsc_fun3d_repro::solver::gmres::GmresOptions;
 use petsc_fun3d_repro::solver::pseudo::{
-    solve_pseudo_transient_with_events, Forcing, PrecondSpec, PseudoTransientOptions,
+    solve_pseudo_transient_warm, Forcing, PrecondSpec, PseudoTransientOptions, WarmStart,
 };
 use petsc_fun3d_repro::sparse::ilu::IluOptions;
 use petsc_fun3d_repro::telemetry::events::{convergence_table, EventSink, EventStream};
@@ -69,7 +69,8 @@ fn main() {
     // per-iteration event stream (`fun3d-events/1`) lands in `sink`.
     let tel = Registry::enabled(0);
     let sink = EventSink::enabled();
-    let history = solve_pseudo_transient_with_events(&mut problem, &mut q, &opts, &tel, &sink);
+    let cold = WarmStart::none();
+    let history = solve_pseudo_transient_warm(&mut problem, &mut q, &opts, &tel, &sink, &cold);
 
     // 4. Report: the Figure 5-style convergence table straight from the
     //    event stream, then the run summary.

@@ -12,11 +12,12 @@ use petsc_fun3d_repro::mesh::generator::BumpChannelSpec;
 use petsc_fun3d_repro::partition::partition_kway;
 use petsc_fun3d_repro::solver::gmres::GmresOptions;
 use petsc_fun3d_repro::solver::pseudo::{
-    solve_pseudo_transient, solve_pseudo_transient_instrumented, Forcing, PrecondSpec,
-    PseudoTransientOptions,
+    solve_pseudo_transient, solve_pseudo_transient_warm, Forcing, PrecondSpec,
+    PseudoTransientOptions, WarmStart,
 };
 use petsc_fun3d_repro::sparse::ilu::IluOptions;
 use petsc_fun3d_repro::sparse::layout::FieldLayout;
+use petsc_fun3d_repro::telemetry::events::EventSink;
 use petsc_fun3d_repro::telemetry::report::PerfReport;
 use petsc_fun3d_repro::telemetry::{merge, Registry};
 
@@ -62,8 +63,9 @@ fn instrumentation_does_not_perturb_the_solve() {
     let (mut p1, mut q1) = small_problem(&mesh);
     let plain = solve_pseudo_transient(&mut p1, &mut q1, &opts);
     let (mut p2, mut q2) = small_problem(&mesh);
-    let reg = Registry::enabled(0);
-    let instrumented = solve_pseudo_transient_instrumented(&mut p2, &mut q2, &opts, &reg);
+    let (reg, events) = (Registry::enabled(0), EventSink::disabled());
+    let instrumented =
+        solve_pseudo_transient_warm(&mut p2, &mut q2, &opts, &reg, &events, &WarmStart::none());
     assert_eq!(plain.steps.len(), instrumented.steps.len());
     for (a, b) in plain.steps.iter().zip(&instrumented.steps) {
         // Bitwise identical: spans only read the clock, never the state.
@@ -83,8 +85,15 @@ fn child_span_times_sum_to_at_most_the_parent() {
     let opts = nks(6);
     let mesh = BumpChannelSpec::with_dims(8, 6, 6).build();
     let (mut problem, mut q) = small_problem(&mesh);
-    let reg = Registry::enabled(0);
-    solve_pseudo_transient_instrumented(&mut problem, &mut q, &opts, &reg);
+    let (reg, events) = (Registry::enabled(0), EventSink::disabled());
+    solve_pseudo_transient_warm(
+        &mut problem,
+        &mut q,
+        &opts,
+        &reg,
+        &events,
+        &WarmStart::none(),
+    );
     let snap = reg.snapshot();
     let parent = snap.span("nks").expect("nks span recorded").total_s;
     let children: f64 = snap
