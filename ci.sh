@@ -53,7 +53,7 @@ fi
 # asserts the registry -> stats -> baseline pipeline, never wall-clock.
 ./target/release/fun3d-bench run --suite smoke \
     --save-baseline "$smoke_dir/smoke.json" \
-    --events-dir "$smoke_dir/runs" > "$smoke_dir/save.log"
+    --record "$smoke_dir/runs" > "$smoke_dir/save.log"
 ./target/release/fun3d-bench run --suite smoke \
     --baseline "$smoke_dir/smoke.json" --tol-rel 1000 > "$smoke_dir/gate.log"
 grep -q "overall:" "$smoke_dir/gate.log"
@@ -62,7 +62,7 @@ grep -q "overall:" "$smoke_dir/gate.log"
 # saved must make the gate exit nonzero and print REGRESSED verdicts — if
 # this leg passes, a real regression cannot slip through a broken gate.
 if FUN3D_BENCH_SLOWDOWN=100 ./target/release/fun3d-bench run --suite smoke \
-    --baseline "$smoke_dir/smoke.json" --events-dir "$smoke_dir/runs-slow" \
+    --baseline "$smoke_dir/smoke.json" --record "$smoke_dir/runs-slow" \
     > "$smoke_dir/slowdown.log" 2>&1; then
     echo "ci: injected slowdown did not fail the gate"; exit 1
 fi
@@ -87,14 +87,14 @@ if [ -n "${CI_BASELINE_DIR:-}" ]; then
     cp "$smoke_dir/smoke.json" "$CI_BASELINE_DIR/smoke.json"
 fi
 
-# Run inspection: `fun3d-report show` on a gate-written report must render
-# the Figure 5 convergence table (from the sibling event stream) and the
+# Run inspection: `fun3d-report show` on a gate-written record must render
+# the Figure 5 convergence table (from the record's event stream) and the
 # Table 3 phase breakdown; a self-diff must report zero regressions.
-./target/release/fun3d-report show "$smoke_dir/runs/table1.json" > "$smoke_dir/show.log"
+./target/release/fun3d-report show "$smoke_dir/runs/table1" > "$smoke_dir/show.log"
 grep -q "Convergence (Figure 5)" "$smoke_dir/show.log"
 grep -q "Phase breakdown (Table 3)" "$smoke_dir/show.log"
-./target/release/fun3d-report diff "$smoke_dir/runs/table1.json" \
-    "$smoke_dir/runs/table1.json" > "$smoke_dir/diff.log"
+./target/release/fun3d-report diff "$smoke_dir/runs/table1" \
+    "$smoke_dir/runs/table1" > "$smoke_dir/diff.log"
 grep -q "regressions: 0" "$smoke_dir/diff.log"
 
 # Threaded leg: the workspace tests again and the smoke gate with a
@@ -107,13 +107,13 @@ grep -q "regressions: 0" "$smoke_dir/diff.log"
 FUN3D_THREADS=2 cargo test -q --workspace --no-fail-fast
 ./target/release/fun3d-bench run --suite smoke --threads 2 \
     --save-baseline "$smoke_dir/smoke-t2.json" \
-    --events-dir "$smoke_dir/runs-t2" > "$smoke_dir/save-t2.log"
+    --record "$smoke_dir/runs-t2" > "$smoke_dir/save-t2.log"
 ./target/release/fun3d-bench run --suite smoke --threads 2 \
     --baseline "$smoke_dir/smoke-t2.json" --tol-rel 1000 > "$smoke_dir/gate-t2.log"
 grep -q "overall:" "$smoke_dir/gate-t2.log"
-grep -q '"nthreads":"2"' "$smoke_dir/runs-t2/table1.json"
-./target/release/fun3d-report diff "$smoke_dir/runs-t2/table1.json" \
-    "$smoke_dir/runs-t2/table1.json" > "$smoke_dir/diff-t2.log"
+grep -q '"nthreads":"2"' "$smoke_dir/runs-t2/table1/report.json"
+./target/release/fun3d-report diff "$smoke_dir/runs-t2/table1" \
+    "$smoke_dir/runs-t2/table1" > "$smoke_dir/diff-t2.log"
 grep -q "regressions: 0" "$smoke_dir/diff-t2.log"
 
 # Profiling leg: the smoke suite with per-thread region profiling on at 2
@@ -122,27 +122,28 @@ grep -q "regressions: 0" "$smoke_dir/diff-t2.log"
 # renderable `fun3d-report profile` view with both the imbalance and
 # roofline tables.
 ./target/release/fun3d-bench run --suite smoke --threads 2 --profile \
-    --events-dir "$smoke_dir/runs-prof" > "$smoke_dir/gate-prof.log"
+    --record "$smoke_dir/runs-prof" > "$smoke_dir/gate-prof.log"
 grep -q "overall:" "$smoke_dir/gate-prof.log"
-grep -q '"ev":"par_region"' "$smoke_dir/runs-prof/spmv.events.jsonl"
-grep -q '"spmv/bcsr:gbps"' "$smoke_dir/runs-prof/spmv.json"
-grep -q '"spmv/bilu:gbps"' "$smoke_dir/runs-prof/spmv.json"
-grep -q '"par/spmv_csr"' "$smoke_dir/runs-prof/spmv.json"
-./target/release/fun3d-report profile "$smoke_dir/runs-prof/spmv.json" \
+grep -q '"ev":"par_region"' "$smoke_dir/runs-prof/spmv/events.jsonl"
+grep -q '"spmv/bcsr:gbps"' "$smoke_dir/runs-prof/spmv/report.json"
+grep -q '"spmv/bilu:gbps"' "$smoke_dir/runs-prof/spmv/report.json"
+grep -q '"par/spmv_csr"' "$smoke_dir/runs-prof/spmv/report.json"
+./target/release/fun3d-report profile "$smoke_dir/runs-prof/spmv" \
     > "$smoke_dir/profile.log"
 grep -q "load imbalance (Table 3)" "$smoke_dir/profile.log"
 grep -q "Achieved bandwidth (Table 2)" "$smoke_dir/profile.log"
 grep -q "spmv_csr" "$smoke_dir/profile.log"
 # `show` must fold the imbalance summary in; pre-profile reports (earlier
 # legs wrote them without --profile) must still render without it.
-./target/release/fun3d-report show "$smoke_dir/runs-prof/spmv.json" > "$smoke_dir/show-prof.log"
+./target/release/fun3d-report show "$smoke_dir/runs-prof/spmv" > "$smoke_dir/show-prof.log"
 grep -q "Parallel regions (2 threads)" "$smoke_dir/show-prof.log"
 ! grep -q "Parallel regions" "$smoke_dir/show.log"
 
 # The overhead checks below share one sampling scheme: `check_overhead N
 # sampler flag...` runs `sampler` (off) and `sampler flag...` (on) N times
 # each, interleaved, and passes when the best "on" time is within 5% of
-# the best "off" time.  A sampler prints one time in seconds.  Taking the
+# the best "off" time.  A sampler prints one time in seconds, read from
+# the report.json of the record it writes on both sides.  Taking the
 # best of interleaved runs damps the shared host's scheduler noise; each
 # caller adds one retry on top.
 min_of() {
@@ -164,22 +165,25 @@ check_overhead() {
 # CSR time, profiling off vs on), best of five per side.
 spmv_sample() {
     ./target/release/spmv --scale 0.2 --threads 2 --quiet "$@" \
-        --json "$smoke_dir/spmv-run.json" > /dev/null \
-        && grep -o '"time_csr_s":[0-9.e-]*' "$smoke_dir/spmv-run.json" | cut -d: -f2
+        --record "$smoke_dir/spmv-run" > /dev/null \
+        && grep -o '"time_csr_s":[0-9.e-]*' "$smoke_dir/spmv-run/report.json" | cut -d: -f2
 }
 check_overhead 5 spmv_sample --profile \
     || { echo "ci: profiling overhead check retrying"; check_overhead 5 spmv_sample --profile; }
 
 # Table 5 leg: the hybrid row's flux loop forks through ParCtx from 4,096
-# edges, and --scale 0.001 builds 18,665.  The report must carry the
+# edges, and --scale 0.001 builds 18,665.  The record must hold the
+# report and the (empty) event stream, and the report must carry the
 # hybrid time and both speedups.
-./target/release/table5 --scale 0.001 --quiet --json "$smoke_dir/table5.json" \
+./target/release/table5 --scale 0.001 --quiet --record "$smoke_dir/table5" \
     > "$smoke_dir/table5.log"
-nedges=$(grep -o '"nedges":"[0-9]*"' "$smoke_dir/table5.json" | tr -dc '0-9')
+[ -f "$smoke_dir/table5/report.json" ] && [ -f "$smoke_dir/table5/events.jsonl" ] \
+    || { echo "ci: table5 record lacks report.json or events.jsonl"; exit 1; }
+nedges=$(grep -o '"nedges":"[0-9]*"' "$smoke_dir/table5/report.json" | tr -dc '0-9')
 [ "${nedges:-0}" -ge 4096 ] || { echo "ci: table5 mesh has $nedges edges, too few to fork"; exit 1; }
-grep -q '"omp_speedup"' "$smoke_dir/table5.json"
-grep -q '"mpi_speedup"' "$smoke_dir/table5.json"
-grep -q '"flux_2thread_omp_s"' "$smoke_dir/table5.json"
+grep -q '"omp_speedup"' "$smoke_dir/table5/report.json"
+grep -q '"mpi_speedup"' "$smoke_dir/table5/report.json"
+grep -q '"flux_2thread_omp_s"' "$smoke_dir/table5/report.json"
 
 # Rank-tracing leg: the `ranks` sweep at 4 simulated ranks with per-rank
 # tracing.  The chrome trace must carry one lane per rank plus message
@@ -187,18 +191,17 @@ grep -q '"flux_2thread_omp_s"' "$smoke_dir/table5.json"
 # metrics with eta_impl in (0, 1], and `fun3d-report comm` the per-rank
 # phase table with a laggard called out.
 ./target/release/ranks --scale 0.01 --ranks 4 --trace-ranks --quiet \
-    --json "$smoke_dir/ranks.json" --trace "$smoke_dir/ranks.trace.json" \
-    > "$smoke_dir/ranks.log"
-lanes=$(grep -o '"tid":[0-9]*' "$smoke_dir/ranks.trace.json" | sort -u | wc -l)
+    --record "$smoke_dir/ranks" > "$smoke_dir/ranks.log"
+lanes=$(grep -o '"tid":[0-9]*' "$smoke_dir/ranks/trace.json" | sort -u | wc -l)
 [ "$lanes" -eq 4 ] || { echo "ci: expected 4 trace lanes, got $lanes"; exit 1; }
-grep -q '"ph":"s"' "$smoke_dir/ranks.trace.json"
-eta=$(grep -o '"eta_impl":[0-9.e-]*' "$smoke_dir/ranks.json" | cut -d: -f2)
+grep -q '"ph":"s"' "$smoke_dir/ranks/trace.json"
+eta=$(grep -o '"eta_impl":[0-9.e-]*' "$smoke_dir/ranks/report.json" | cut -d: -f2)
 awk -v e="$eta" 'BEGIN { exit !(e > 0 && e <= 1) }' \
     || { echo "ci: eta_impl out of (0,1]: $eta"; exit 1; }
-grep -q '"cp:total_s"' "$smoke_dir/ranks.json"
-grep -q '"rank:scatter:wait_frac"' "$smoke_dir/ranks.json"
-grep -q '"comm:bytes_per_iter"' "$smoke_dir/ranks.json"
-./target/release/fun3d-report comm "$smoke_dir/ranks.json" > "$smoke_dir/comm.log"
+grep -q '"cp:total_s"' "$smoke_dir/ranks/report.json"
+grep -q '"rank:scatter:wait_frac"' "$smoke_dir/ranks/report.json"
+grep -q '"comm:bytes_per_iter"' "$smoke_dir/ranks/report.json"
+./target/release/fun3d-report comm "$smoke_dir/ranks" > "$smoke_dir/comm.log"
 grep -q "Per-rank phases" "$smoke_dir/comm.log"
 grep -q "laggard" "$smoke_dir/comm.log"
 grep -q "Critical path" "$smoke_dir/comm.log"
@@ -214,8 +217,8 @@ grep -q "overall:" "$smoke_dir/ranks-gate.log"
 # three per side: one run takes several seconds.
 ranks_sample() {
     ./target/release/ranks --scale 0.01 --ranks 4 --quiet "$@" \
-        --json "$smoke_dir/ranks-run.json" > /dev/null \
-        && grep -o '"wall_s":[0-9.e-]*' "$smoke_dir/ranks-run.json" | cut -d: -f2
+        --record "$smoke_dir/ranks-run" > /dev/null \
+        && grep -o '"wall_s":[0-9.e-]*' "$smoke_dir/ranks-run/report.json" | cut -d: -f2
 }
 check_overhead 3 ranks_sample --trace-ranks \
     || { echo "ci: rank-trace overhead check retrying"; check_overhead 3 ranks_sample --trace-ranks; }
@@ -226,18 +229,18 @@ check_overhead 3 ranks_sample --trace-ranks \
 # batch), and the direct-path identity check; `fun3d-report serve` must
 # render the sweep and the knee summary.
 FUN3D_SERVE_WORKERS=2 ./target/release/serve --steps 2 --quiet \
-    --json "$smoke_dir/serve.json" > "$smoke_dir/serve.log"
-grep -q '"rate0:solves_per_s"' "$smoke_dir/serve.json"
-grep -q '"rate1:solves_per_s"' "$smoke_dir/serve.json"
-grep -q '"rate1:p99_s"' "$smoke_dir/serve.json"
+    --record "$smoke_dir/serve" > "$smoke_dir/serve.log"
+grep -q '"rate0:solves_per_s"' "$smoke_dir/serve/report.json"
+grep -q '"rate1:solves_per_s"' "$smoke_dir/serve/report.json"
+grep -q '"rate1:p99_s"' "$smoke_dir/serve/report.json"
 # Keys contain a colon, so the value is awk/cut field 3.
-hit=$(grep -o '"serve:hit_rate":[0-9.e-]*' "$smoke_dir/serve.json" | cut -d: -f3)
+hit=$(grep -o '"serve:hit_rate":[0-9.e-]*' "$smoke_dir/serve/report.json" | cut -d: -f3)
 awk -v h="$hit" 'BEGIN { exit !(h > 0.5) }' \
     || { echo "ci: serve cache hit rate too low: $hit"; exit 1; }
-ident=$(grep -o '"serve:identity_match_ratio":[0-9.e-]*' "$smoke_dir/serve.json" | cut -d: -f3)
+ident=$(grep -o '"serve:identity_match_ratio":[0-9.e-]*' "$smoke_dir/serve/report.json" | cut -d: -f3)
 awk -v r="$ident" 'BEGIN { exit !(r == 1) }' \
     || { echo "ci: served results diverged from the direct path: $ident"; exit 1; }
-./target/release/fun3d-report serve "$smoke_dir/serve.json" > "$smoke_dir/serve-view.log"
+./target/release/fun3d-report serve "$smoke_dir/serve" > "$smoke_dir/serve-view.log"
 grep -q "Open-loop rate sweep" "$smoke_dir/serve-view.log"
 grep -q "cache hit rate" "$smoke_dir/serve-view.log"
 # The serve experiment must gate cleanly against its own baseline.
@@ -252,8 +255,8 @@ grep -q "overall:" "$smoke_dir/serve-gate.log"
 # damps scheduler noise in the reject count.
 check_serve_rejects() {
     timeout 300 env FUN3D_SERVE_WORKERS=1 ./target/release/serve --steps 2 --quiet \
-        --json "$smoke_dir/serve-w1.json" > /dev/null || return 1
-    rej=$(grep -o '"serve:rejected_total":[0-9.e-]*' "$smoke_dir/serve-w1.json" | cut -d: -f3)
+        --record "$smoke_dir/serve-w1" > /dev/null || return 1
+    rej=$(grep -o '"serve:rejected_total":[0-9.e-]*' "$smoke_dir/serve-w1/report.json" | cut -d: -f3)
     awk -v r="$rej" 'BEGIN { exit !(r > 0) }'
 }
 check_serve_rejects \
@@ -261,30 +264,28 @@ check_serve_rejects \
     || { echo "ci: overloaded serve engine produced no rejects"; exit 1; }
 
 # Live-metrics leg: the same sweep with the collector, request tracing,
-# and SLO layer on.  The metrics sidecar must carry the core series and a
+# and SLO layer on.  The record's metrics must carry the core series and a
 # parseable Prometheus scrape, every request must leave a trace event, the
 # 1-worker overload must drive health to saturated, and `fun3d-report
 # live` must render sparklines with the health timeline.
 FUN3D_SERVE_WORKERS=1 timeout 300 ./target/release/serve --steps 2 --quiet \
-    --metrics --metrics-out "$smoke_dir/serve-live.metrics.jsonl" \
-    --events "$smoke_dir/serve-live.events.jsonl" \
-    --json "$smoke_dir/serve-live.json" > "$smoke_dir/serve-live.log"
-grep -q '"series":"queue_depth"' "$smoke_dir/serve-live.metrics.jsonl"
-grep -q '"series":"throughput_solves_per_s"' "$smoke_dir/serve-live.metrics.jsonl"
-grep -q '"series":"health_state"' "$smoke_dir/serve-live.metrics.jsonl"
+    --metrics --record "$smoke_dir/serve-live" > "$smoke_dir/serve-live.log"
+grep -q '"series":"queue_depth"' "$smoke_dir/serve-live/metrics.jsonl"
+grep -q '"series":"throughput_solves_per_s"' "$smoke_dir/serve-live/metrics.jsonl"
+grep -q '"series":"health_state"' "$smoke_dir/serve-live/metrics.jsonl"
 # The Prometheus exposition parses: every non-comment line is
 # `fun3d_<name> <float>`, and at least one sample is present.
 awk '/^#/ { next }
      !/^fun3d_[a-z0-9_]+ -?[0-9][0-9.e+-]*$/ { bad = 1 }
      { n += 1 }
-     END { exit !(n > 0 && !bad) }' "$smoke_dir/serve-live.metrics.jsonl.prom" \
+     END { exit !(n > 0 && !bad) }' "$smoke_dir/serve-live/metrics.prom" \
     || { echo "ci: malformed Prometheus scrape"; exit 1; }
-grep -q '"ev":"request_trace"' "$smoke_dir/serve-live.events.jsonl"
+grep -q '"ev":"request_trace"' "$smoke_dir/serve-live/events.jsonl"
 # Overloading one worker at the top sweep rate must saturate its SLO.
-grep -q '"rate1:health_state":2' "$smoke_dir/serve-live.json" \
+grep -q '"rate1:health_state":2' "$smoke_dir/serve-live/report.json" \
     || { echo "ci: overloaded serve engine not marked saturated"; exit 1; }
-grep -q '"serve:queue_wait_frac"' "$smoke_dir/serve-live.json"
-./target/release/fun3d-report live "$smoke_dir/serve-live.json" > "$smoke_dir/live-view.log"
+grep -q '"serve:queue_wait_frac"' "$smoke_dir/serve-live/report.json"
+./target/release/fun3d-report live "$smoke_dir/serve-live" > "$smoke_dir/live-view.log"
 grep -q "Time series" "$smoke_dir/live-view.log"
 grep -q "Health timeline" "$smoke_dir/live-view.log"
 grep -q "saturated" "$smoke_dir/live-view.log"
@@ -293,48 +294,51 @@ grep -q "saturated" "$smoke_dir/live-view.log"
 # overhead budget), best of five per side.
 serve_sample() {
     FUN3D_SERVE_WORKERS=1 timeout 300 ./target/release/serve --steps 2 --quiet "$@" \
-        --json "$smoke_dir/serve-run.json" > /dev/null \
-        && grep -o '"wall_s":[0-9.e-]*' "$smoke_dir/serve-run.json" | cut -d: -f2
+        --record "$smoke_dir/serve-run" > /dev/null \
+        && grep -o '"wall_s":[0-9.e-]*' "$smoke_dir/serve-run/report.json" | cut -d: -f2
 }
 check_overhead 5 serve_sample --metrics \
     || { echo "ci: metrics overhead check retrying"; check_overhead 5 serve_sample --metrics; }
 
-# Flight-recorder / diagnosis leg.  An injected panic must leave a
-# parseable `fun3d-blackbox/1` dump that `fun3d-report explain` renders;
+# Flight-recorder / diagnosis leg.  The recorder dumps into a record, so
+# `--blackbox` without `--record` must be refused before anything runs.
+# An injected panic must leave a record holding only a parseable
+# `fun3d-blackbox/1` dump, which `fun3d-report explain` renders;
 # an injected NaN must raise a solver anomaly event and exit 3; `explain`
 # on the profiled spmv run must rank it bandwidth-bound with %-of-STREAM
 # evidence; and the slowdown A/B pair must name the regressed phase.
+if ./target/release/table1 --blackbox --quiet > "$smoke_dir/bb-norecord.log" 2>&1; then
+    echo "ci: --blackbox without --record was accepted"; exit 1
+fi
+grep -q -- "--record" "$smoke_dir/bb-norecord.log"
 if FUN3D_PANIC_AT_STEP=1 ./target/release/table1 --scale 0.05 --steps 2 \
-    --quiet --blackbox "$smoke_dir/panic.blackbox.jsonl" \
+    --quiet --blackbox --record "$smoke_dir/panic" \
     > "$smoke_dir/panic.log" 2>&1; then
     echo "ci: injected panic did not fail the run"; exit 1
 fi
-grep -q '"schema":"fun3d-blackbox/1"' "$smoke_dir/panic.blackbox.jsonl"
-grep -q '"reason":"panic"' "$smoke_dir/panic.blackbox.jsonl"
-./target/release/fun3d-report explain \
-    --blackbox "$smoke_dir/panic.blackbox.jsonl" > "$smoke_dir/panic-explain.log"
+grep -q '"schema":"fun3d-blackbox/1"' "$smoke_dir/panic/blackbox.jsonl"
+grep -q '"reason":"panic"' "$smoke_dir/panic/blackbox.jsonl"
+./target/release/fun3d-report explain "$smoke_dir/panic" > "$smoke_dir/panic-explain.log"
 grep -q "anomaly-terminated" "$smoke_dir/panic-explain.log"
 grep -q "Flight recorder" "$smoke_dir/panic-explain.log"
 
 nan_status=0
 FUN3D_NAN_AT_STEP=1 ./target/release/table1 --scale 0.05 --steps 2 --quiet \
-    --json "$smoke_dir/nan.json" --events "$smoke_dir/nan.events.jsonl" \
-    > "$smoke_dir/nan.log" 2>&1 || nan_status=$?
+    --record "$smoke_dir/nan" > "$smoke_dir/nan.log" 2>&1 || nan_status=$?
 [ "$nan_status" -eq 3 ] \
     || { echo "ci: injected NaN exited $nan_status, expected 3"; exit 1; }
-grep -q '"ev":"anomaly"' "$smoke_dir/nan.events.jsonl"
-grep -q "non_finite_residual" "$smoke_dir/nan.events.jsonl"
-./target/release/fun3d-report explain "$smoke_dir/nan.json" \
-    --events "$smoke_dir/nan.events.jsonl" > "$smoke_dir/nan-explain.log"
+grep -q '"ev":"anomaly"' "$smoke_dir/nan/events.jsonl"
+grep -q "non_finite_residual" "$smoke_dir/nan/events.jsonl"
+./target/release/fun3d-report explain "$smoke_dir/nan" > "$smoke_dir/nan-explain.log"
 grep -q "1. anomaly-terminated" "$smoke_dir/nan-explain.log"
 
-./target/release/fun3d-report explain "$smoke_dir/runs-prof/spmv.json" \
+./target/release/fun3d-report explain "$smoke_dir/runs-prof/spmv" \
     > "$smoke_dir/explain.log"
 grep -q "bandwidth-bound" "$smoke_dir/explain.log"
 grep -q "% of STREAM" "$smoke_dir/explain.log"
 grep -q "explain:confidence" "$smoke_dir/explain.log"
-./target/release/fun3d-report explain "$smoke_dir/runs/spmv.json" \
-    "$smoke_dir/runs-slow/spmv.json" > "$smoke_dir/explain-ab.log"
+./target/release/fun3d-report explain "$smoke_dir/runs/spmv" \
+    "$smoke_dir/runs-slow/spmv" > "$smoke_dir/explain-ab.log"
 grep -q "regressed phase:" "$smoke_dir/explain-ab.log"
 # The attributed phase must be a real span phase, not the run-level bucket.
 grep -q 'regression attributed to phase `spmv' "$smoke_dir/explain-ab.log"
@@ -344,11 +348,10 @@ grep -q 'regression attributed to phase `spmv' "$smoke_dir/explain-ab.log"
 # five per side.
 bb_sample() {
     ./target/release/spmv --scale 0.5 --threads 2 --quiet "$@" \
-        --json "$smoke_dir/bb-run.json" > /dev/null \
-        && grep -o '"time_csr_s":[0-9.e-]*' "$smoke_dir/bb-run.json" | cut -d: -f2
+        --record "$smoke_dir/bb-run" > /dev/null \
+        && grep -o '"time_csr_s":[0-9.e-]*' "$smoke_dir/bb-run/report.json" | cut -d: -f2
 }
-bb_armed=(--blackbox "$smoke_dir/bb-on.blackbox.jsonl")
-check_overhead 5 bb_sample "${bb_armed[@]}" \
-    || { echo "ci: flight-recorder overhead check retrying"; check_overhead 5 bb_sample "${bb_armed[@]}"; }
+check_overhead 5 bb_sample --blackbox \
+    || { echo "ci: flight-recorder overhead check retrying"; check_overhead 5 bb_sample --blackbox; }
 
 echo "ci: all checks passed"

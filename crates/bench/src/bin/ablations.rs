@@ -1,15 +1,6 @@
-//! Thin CLI wrapper: Section 2.4 ablation studies.
-//! The core loop lives in `fun3d_bench::runners::ablations`.
-//!
-//! Usage: `cargo run --release -p fun3d-bench --bin ablations [--scale f]
-//!   [--json out.json] [--trace trace.json]`
-
-use fun3d_bench::{runners, BenchArgs};
+//! Section 2.4 ablation studies (`fun3d_bench::runners::ablations`).
+//! Usage: `ablations [--scale f] [--record dir] ...`, any of `fun3d_bench::KNOWN`.
 
 fn main() {
-    let args = BenchArgs::parse_for("ablations", 0.3);
-    let out = runners::ablations::run(&args);
-    args.emit_report(&out.report);
-    args.emit_trace(&out.telemetry);
-    args.exit_if_anomalous(&out);
+    fun3d_bench::run_bin("ablations");
 }

@@ -1,14 +1,6 @@
-//! Thin CLI wrapper: Figure 1 fixed-size scaling on the ASCI Red model.
-//! The core loop lives in `fun3d_bench::runners::figure1`.
-//!
-//! Usage: `cargo run --release -p fun3d-bench --bin figure1 [--scale f]
-//!   [--json out.json] [--trace trace.json]`
-
-use fun3d_bench::{runners, BenchArgs};
+//! Figure 1 fixed-size scaling on the ASCI Red model (`fun3d_bench::runners::figure1`).
+//! Usage: `figure1 [--scale f] [--record dir] ...`, any of `fun3d_bench::KNOWN`.
 
 fn main() {
-    let args = BenchArgs::parse_for("figure1", 1.0);
-    let out = runners::figure1::run(&args);
-    args.emit_report(&out.report);
-    args.emit_trace(&out.telemetry);
+    fun3d_bench::run_bin("figure1");
 }

@@ -1,14 +1,6 @@
-//! Thin CLI wrapper: Figure 2 Gflop/s and time across the paper's machines.
-//! The core loop lives in `fun3d_bench::runners::figure2`.
-//!
-//! Usage: `cargo run --release -p fun3d-bench --bin figure2 [--scale f]
-//!   [--json out.json] [--trace trace.json]`
-
-use fun3d_bench::{runners, BenchArgs};
+//! Figure 2 Gflop/s and time across the paper's machines (`fun3d_bench::runners::figure2`).
+//! Usage: `figure2 [--scale f] [--record dir] ...`, any of `fun3d_bench::KNOWN`.
 
 fn main() {
-    let args = BenchArgs::parse_for("figure2", 1.0);
-    let out = runners::figure2::run(&args);
-    args.emit_report(&out.report);
-    args.emit_trace(&out.telemetry);
+    fun3d_bench::run_bin("figure2");
 }

@@ -1,14 +1,6 @@
-//! Thin CLI wrapper: Figure 3 simulated TLB/L2 misses under data orderings.
-//! The core loop lives in `fun3d_bench::runners::figure3`.
-//!
-//! Usage: `cargo run --release -p fun3d-bench --bin figure3 [--scale f]
-//!   [--json out.json] [--trace trace.json]`
-
-use fun3d_bench::{runners, BenchArgs};
+//! Figure 3 simulated TLB/L2 misses under data orderings (`fun3d_bench::runners::figure3`).
+//! Usage: `figure3 [--scale f] [--record dir] ...`, any of `fun3d_bench::KNOWN`.
 
 fn main() {
-    let args = BenchArgs::parse_for("figure3", 1.0);
-    let out = runners::figure3::run(&args);
-    args.emit_report(&out.report);
-    args.emit_trace(&out.telemetry);
+    fun3d_bench::run_bin("figure3");
 }

@@ -1,14 +1,6 @@
-//! Thin CLI wrapper: Figure 4 k-way vs fragmented partitioning.
-//! The core loop lives in `fun3d_bench::runners::figure4`.
-//!
-//! Usage: `cargo run --release -p fun3d-bench --bin figure4 [--scale f]
-//!   [--json out.json] [--trace trace.json]`
-
-use fun3d_bench::{runners, BenchArgs};
+//! Figure 4 k-way vs fragmented partitioning (`fun3d_bench::runners::figure4`).
+//! Usage: `figure4 [--scale f] [--record dir] ...`, any of `fun3d_bench::KNOWN`.
 
 fn main() {
-    let args = BenchArgs::parse_for("figure4", 0.01);
-    let out = runners::figure4::run(&args);
-    args.emit_report(&out.report);
-    args.emit_trace(&out.telemetry);
+    fun3d_bench::run_bin("figure4");
 }

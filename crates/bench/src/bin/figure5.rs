@@ -1,16 +1,6 @@
-//! Thin CLI wrapper: Figure 5 residual vs pseudo-timestep across CFL choices.
-//! The core loop lives in `fun3d_bench::runners::figure5`.
-//!
-//! Usage: `cargo run --release -p fun3d-bench --bin figure5 [--scale f]
-//!   [--json out.json] [--trace trace.json] [--events ev.jsonl]`
-
-use fun3d_bench::{runners, BenchArgs};
+//! Figure 5 residual vs pseudo-timestep across CFL choices (`fun3d_bench::runners::figure5`).
+//! Usage: `figure5 [--scale f] [--record dir] ...`, any of `fun3d_bench::KNOWN`.
 
 fn main() {
-    let args = BenchArgs::parse_for("figure5", 0.005);
-    let out = runners::figure5::run(&args);
-    args.emit_report(&out.report);
-    args.emit_trace(&out.telemetry);
-    args.emit_events(&out.events);
-    args.exit_if_anomalous(&out);
+    fun3d_bench::run_bin("figure5");
 }

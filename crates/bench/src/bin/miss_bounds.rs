@@ -1,14 +1,6 @@
-//! Thin CLI wrapper: Eqs. (1)-(2) conflict-miss bound validation.
-//! The core loop lives in `fun3d_bench::runners::miss_bounds`.
-//!
-//! Usage: `cargo run --release -p fun3d-bench --bin miss_bounds [--scale f]
-//!   [--json out.json] [--trace trace.json]`
-
-use fun3d_bench::{runners, BenchArgs};
+//! Eqs. (1)-(2) conflict-miss bound validation (`fun3d_bench::runners::miss_bounds`).
+//! Usage: `miss_bounds [--scale f] [--record dir] ...`, any of `fun3d_bench::KNOWN`.
 
 fn main() {
-    let args = BenchArgs::parse_for("miss_bounds", 1.0);
-    let out = runners::miss_bounds::run(&args);
-    args.emit_report(&out.report);
-    args.emit_trace(&out.telemetry);
+    fun3d_bench::run_bin("miss_bounds");
 }

@@ -1,16 +1,6 @@
-//! Thin CLI wrapper: rank-count sweep with per-rank distributed tracing.
-//! The core loop lives in `fun3d_bench::runners::ranks`.
-//!
-//! Usage: `cargo run --release -p fun3d-bench --bin ranks [--scale f]
-//!   [--ranks n] [--trace-ranks] [--json out.json] [--trace trace.json]
-//!   [--events ev.jsonl]`
-
-use fun3d_bench::{runners, BenchArgs};
+//! Rank-count sweep with per-rank distributed tracing (`fun3d_bench::runners::ranks`).
+//! Usage: `ranks [--scale f] [--record dir] ...`, any of `fun3d_bench::KNOWN`.
 
 fn main() {
-    let args = BenchArgs::parse_for("ranks", 0.02);
-    let out = runners::ranks::run(&args);
-    args.emit_report(&out.report);
-    args.emit_trace(&out.telemetry);
-    args.emit_events(&out.events);
+    fun3d_bench::run_bin("ranks");
 }

@@ -1,19 +1,7 @@
-//! Thin CLI wrapper: open-loop load sweep through the `fun3d-serve` engine.
-//! The core loop lives in `fun3d_bench::runners::serve`.
-//!
-//! Usage: `cargo run --release -p fun3d-bench --bin serve [--scale f]
-//!   [--steps nrates] [--threads n] [--json out.json] [--trace trace.json]
-//!   [--metrics] [--metrics-out metrics.jsonl] [--events events.jsonl]`
-//! with `FUN3D_SERVE_WORKERS` selecting the worker-pool size (default 2).
-
-use fun3d_bench::{runners, BenchArgs};
+//! Open-loop load sweep through the `fun3d-serve` engine (`fun3d_bench::runners::serve`).
+//! Usage: `serve [--scale f] [--record dir] ...`, any of `fun3d_bench::KNOWN`.
+//! `FUN3D_SERVE_WORKERS` selects the worker-pool size (default 2).
 
 fn main() {
-    let args = BenchArgs::parse_for("serve", 0.005);
-    let out = runners::serve::run(&args);
-    args.emit_report(&out.report);
-    args.emit_trace(&out.telemetry);
-    args.emit_events(&out.events);
-    args.emit_metrics(&out.metrics);
-    args.exit_if_anomalous(&out);
+    fun3d_bench::run_bin("serve");
 }

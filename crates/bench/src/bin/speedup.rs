@@ -1,10 +1,6 @@
-//! Thread-scaling sweep binary: see `runners::speedup`.
-
-use fun3d_bench::{runners, BenchArgs};
+//! Thread-scaling sweep of the `_par` kernels (`fun3d_bench::runners::speedup`).
+//! Usage: `speedup [--scale f] [--record dir] ...`, any of `fun3d_bench::KNOWN`.
 
 fn main() {
-    let args = BenchArgs::parse_for("speedup", 0.5);
-    let out = runners::speedup::run(&args);
-    args.emit_report(&out.report);
-    args.emit_trace(&out.telemetry);
+    fun3d_bench::run_bin("speedup");
 }

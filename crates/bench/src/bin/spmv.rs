@@ -1,14 +1,6 @@
-//! Thin CLI wrapper: measured CSR/BCSR SpMV vs the bandwidth model.
-//! The core loop lives in `fun3d_bench::runners::spmv`.
-//!
-//! Usage: `cargo run --release -p fun3d-bench --bin spmv [--scale f]
-//!   [--json out.json] [--trace trace.json]`
-
-use fun3d_bench::{runners, BenchArgs};
+//! Measured CSR/BCSR SpMV vs the bandwidth model (`fun3d_bench::runners::spmv`).
+//! Usage: `spmv [--scale f] [--record dir] ...`, any of `fun3d_bench::KNOWN`.
 
 fn main() {
-    let args = BenchArgs::parse_for("spmv", 0.5);
-    let out = runners::spmv::run(&args);
-    args.emit_report(&out.report);
-    args.emit_trace(&out.telemetry);
+    fun3d_bench::run_bin("spmv");
 }

@@ -1,14 +1,6 @@
-//! Thin CLI wrapper: host STREAM bandwidth vs the machine models.
-//! The core loop lives in `fun3d_bench::runners::stream`.
-//!
-//! Usage: `cargo run --release -p fun3d-bench --bin stream [--scale f]
-//!   [--json out.json] [--trace trace.json]`
-
-use fun3d_bench::{runners, BenchArgs};
+//! Host STREAM bandwidth vs the machine models (`fun3d_bench::runners::stream`).
+//! Usage: `stream [--scale f] [--record dir] ...`, any of `fun3d_bench::KNOWN`.
 
 fn main() {
-    let args = BenchArgs::parse_for("stream", 1.0);
-    let out = runners::stream::run(&args);
-    args.emit_report(&out.report);
-    args.emit_trace(&out.telemetry);
+    fun3d_bench::run_bin("stream");
 }

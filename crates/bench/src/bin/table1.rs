@@ -1,16 +1,6 @@
-//! Thin CLI wrapper: Table 1 layout enhancements.
-//! The core loop lives in `fun3d_bench::runners::table1`.
-//!
-//! Usage: `cargo run --release -p fun3d-bench --bin table1 [--scale f]
-//!   [--json out.json] [--trace trace.json] [--events ev.jsonl]`
-
-use fun3d_bench::{runners, BenchArgs};
+//! Table 1 layout enhancements (`fun3d_bench::runners::table1`).
+//! Usage: `table1 [--scale f] [--record dir] ...`, any of `fun3d_bench::KNOWN`.
 
 fn main() {
-    let args = BenchArgs::parse_for("table1", 0.25);
-    let out = runners::table1::run(&args);
-    args.emit_report(&out.report);
-    args.emit_trace(&out.telemetry);
-    args.emit_events(&out.events);
-    args.exit_if_anomalous(&out);
+    fun3d_bench::run_bin("table1");
 }

@@ -1,14 +1,6 @@
-//! Thin CLI wrapper: Table 2 single- vs double-precision preconditioner storage.
-//! The core loop lives in `fun3d_bench::runners::table2`.
-//!
-//! Usage: `cargo run --release -p fun3d-bench --bin table2 [--scale f]
-//!   [--json out.json] [--trace trace.json]`
-
-use fun3d_bench::{runners, BenchArgs};
+//! Table 2 single- vs double-precision preconditioner storage (`fun3d_bench::runners::table2`).
+//! Usage: `table2 [--scale f] [--record dir] ...`, any of `fun3d_bench::KNOWN`.
 
 fn main() {
-    let args = BenchArgs::parse_for("table2", 0.08);
-    let out = runners::table2::run(&args);
-    args.emit_report(&out.report);
-    args.emit_trace(&out.telemetry);
+    fun3d_bench::run_bin("table2");
 }

@@ -1,14 +1,6 @@
-//! Thin CLI wrapper: Table 3 efficiency decomposition on the ASCI Red model.
-//! The core loop lives in `fun3d_bench::runners::table3`.
-//!
-//! Usage: `cargo run --release -p fun3d-bench --bin table3 [--scale f]
-//!   [--json out.json] [--trace trace.json]`
-
-use fun3d_bench::{runners, BenchArgs};
+//! Table 3 efficiency decomposition on the ASCI Red model (`fun3d_bench::runners::table3`).
+//! Usage: `table3 [--scale f] [--record dir] ...`, any of `fun3d_bench::KNOWN`.
 
 fn main() {
-    let args = BenchArgs::parse_for("table3", 0.008);
-    let out = runners::table3::run(&args);
-    args.emit_report(&out.report);
-    args.emit_trace(&out.telemetry);
+    fun3d_bench::run_bin("table3");
 }

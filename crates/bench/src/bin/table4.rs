@@ -1,14 +1,6 @@
-//! Thin CLI wrapper: Table 4 additive-Schwarz design space.
-//! The core loop lives in `fun3d_bench::runners::table4`.
-//!
-//! Usage: `cargo run --release -p fun3d-bench --bin table4 [--scale f]
-//!   [--json out.json] [--trace trace.json]`
-
-use fun3d_bench::{runners, BenchArgs};
+//! Table 4 additive-Schwarz design space (`fun3d_bench::runners::table4`).
+//! Usage: `table4 [--scale f] [--record dir] ...`, any of `fun3d_bench::KNOWN`.
 
 fn main() {
-    let args = BenchArgs::parse_for("table4", 0.06);
-    let out = runners::table4::run(&args);
-    args.emit_report(&out.report);
-    args.emit_trace(&out.telemetry);
+    fun3d_bench::run_bin("table4");
 }

@@ -1,14 +1,6 @@
-//! Thin CLI wrapper: Table 5 hybrid MPI/OpenMP vs pure MPI.
-//! The core loop lives in `fun3d_bench::runners::table5`.
-//!
-//! Usage: `cargo run --release -p fun3d-bench --bin table5 [--scale f]
-//!   [--json out.json] [--trace trace.json]`
-
-use fun3d_bench::{runners, BenchArgs};
+//! Table 5 hybrid MPI/OpenMP vs pure MPI (`fun3d_bench::runners::table5`).
+//! Usage: `table5 [--scale f] [--record dir] ...`, any of `fun3d_bench::KNOWN`.
 
 fn main() {
-    let args = BenchArgs::parse_for("table5", 0.02);
-    let out = runners::table5::run(&args);
-    args.emit_report(&out.report);
-    args.emit_trace(&out.telemetry);
+    fun3d_bench::run_bin("table5");
 }

@@ -5,11 +5,13 @@
 //! size — minutes to hours).  Measured numbers regenerate the paper's *rows*;
 //! EXPERIMENTS.md records the paper-vs-measured comparison.
 //!
-//! Since the harness PR, every regenerator's core loop lives in [`runners`]
-//! as a library function returning a [`RunOutcome`]; the binaries are thin
-//! CLI wrappers, and `fun3d-harness` schedules the same runners with warmup
-//! and repetitions behind the [`Experiment`] trait.
+//! Every regenerator's core loop lives in [`runners`] as a library function
+//! returning a [`RunOutcome`]; each binary is one [`run_bin`] call, and
+//! `fun3d-harness` schedules the same runners with warmup and repetitions
+//! behind the [`Experiment`] trait.  A run's outputs go to one directory,
+//! `--record <dir>`, whose file names [`record`] fixes.
 
+pub mod record;
 pub mod runners;
 
 use fun3d_euler::field::FieldVec;
@@ -26,6 +28,25 @@ use fun3d_telemetry::metrics::SeriesSet;
 use fun3d_telemetry::report::PerfReport;
 use fun3d_telemetry::{Registry, Snapshot};
 
+/// The shared flags, each setting the [`BenchArgs`] field of the same name
+/// (`--full` sets `scale` to 1.0).  The regenerator binaries accept exactly
+/// these; the `fun3d-bench` driver layers its own flags on top.
+pub const KNOWN: [&str; 13] = [
+    "--scale",
+    "--full",
+    "--steps",
+    "--reps",
+    "--suite",
+    "--quiet",
+    "--record",
+    "--threads",
+    "--profile",
+    "--ranks",
+    "--trace-ranks",
+    "--metrics",
+    "--blackbox",
+];
+
 /// Command-line options shared by the regenerators.
 #[derive(Debug, Clone, Default)]
 pub struct BenchArgs {
@@ -41,14 +62,9 @@ pub struct BenchArgs {
     /// Suppress human-readable tables and commentary ([`say!`],
     /// [`BenchArgs::table`]); machine-readable outputs are unaffected.
     pub quiet: bool,
-    /// Write a `fun3d-perf/1` JSON report here (`--json <path>`).
-    pub json: Option<String>,
-    /// Write a chrome-trace JSON here (`--trace <path>`); only bins that
-    /// record per-rank trace events honor it.
-    pub trace: Option<String>,
-    /// Write a `fun3d-events/1` JSONL event stream here (`--events <path>`);
-    /// only bins whose runner emits an event stream honor it.
-    pub events: Option<String>,
+    /// Write the run's record into this directory (`--record <dir>`; see
+    /// [`record`] for its files).
+    pub record: Option<String>,
     /// Thread-team size for the `_par` kernels (`--threads <n>`; defaults to
     /// `FUN3D_THREADS` or 1).
     pub threads: usize,
@@ -65,16 +81,12 @@ pub struct BenchArgs {
     /// Turn on live telemetry in runners that serve requests (`--metrics`):
     /// windowed time-series sampling, per-request traces, and SLO health.
     pub metrics: bool,
-    /// Write the collected `fun3d-metrics/1` time series here, plus a
-    /// Prometheus text exposition at `<path>.prom`
-    /// (`--metrics-out <path>`; implies `--metrics`).
-    pub metrics_out: Option<String>,
-    /// Arm the flight recorder for the run and dump `fun3d-blackbox/1`
-    /// JSONL here on panic or solver anomaly (`--blackbox <path>`).  Only
-    /// experiments whose [`Experiment::supports_blackbox`] is true drive
-    /// the solver deeply enough for the rings to be useful, but arming is
-    /// harmless everywhere.
-    pub blackbox: Option<String>,
+    /// Arm the flight recorder for the run (`--blackbox`, which needs
+    /// `--record`): it dumps `fun3d-blackbox/1` JSONL into the record on
+    /// panic or solver anomaly.  Only experiments whose
+    /// [`Experiment::supports_blackbox`] is true drive the solver deeply
+    /// enough for the rings to be useful, but arming is harmless everywhere.
+    pub blackbox: bool,
     /// Shared flags that appeared more than once on the command line, in
     /// first-repeat order.  A repeated value flag (`--threads 2 --threads 4`)
     /// used to silently last-win; callers reject these via
@@ -93,9 +105,7 @@ impl BenchArgs {
             reps: 1,
             suite: None,
             quiet: false,
-            json: None,
-            trace: None,
-            events: None,
+            record: None,
             threads: std::env::var("FUN3D_THREADS")
                 .ok()
                 .and_then(|v| v.parse().ok())
@@ -105,25 +115,31 @@ impl BenchArgs {
             ranks: 0,
             trace_ranks: false,
             metrics: false,
-            metrics_out: None,
-            blackbox: None,
+            blackbox: false,
             duplicates: Vec::new(),
         }
     }
 
-    /// Parse from `std::env::args` for the experiment named `suite`: the
-    /// shared flags of [`BenchArgs::parse_known`] (`--scale <f>`, `--full`,
-    /// `--steps <n>`, `--reps <n>`, `--suite <name>`, `--quiet`,
-    /// `--json <path>`, `--trace <path>`, `--events <path>`,
-    /// `--threads <n>`, `--profile`, `--ranks <n>`, `--trace-ranks`,
-    /// `--metrics`, `--metrics-out <path>`).
-    /// Panics on unknown flags, naming the suite.
+    /// Parse the shared flags ([`KNOWN`]) from `std::env::args` for the
+    /// experiment named `suite`, panicking on unknown or repeated flags
+    /// with the suite named.  With `--record <dir>` this begins the record
+    /// ([`record::start`]) and then, under `--blackbox`, arms the flight
+    /// recorder to dump into it.
     pub fn parse_for(suite: &str, default_scale: f64) -> Self {
         let argv: Vec<String> = std::env::args().skip(1).collect();
         let (out, rest) = Self::parse_known(default_scale, &argv);
         Self::reject_leftovers(suite, &rest);
         out.reject_duplicates(suite);
-        out.arm_blackbox();
+        if let Some(dir) = &out.record {
+            record::start(dir).unwrap_or_else(|e| panic!("starting record {dir} failed: {e}"));
+            if out.blackbox {
+                let dump = record::path(dir, record::BLACKBOX);
+                fun3d_telemetry::blackbox::arm(
+                    fun3d_telemetry::blackbox::DEFAULT_CAPACITY,
+                    Some(&dump),
+                );
+            }
+        }
         out
     }
 
@@ -132,7 +148,8 @@ impl BenchArgs {
     pub fn reject_leftovers(suite: &str, rest: &[String]) {
         if let Some(other) = rest.first() {
             panic!(
-                "unknown argument: {other} (suite {suite}; expected --scale/--full/--steps/--reps/--suite/--quiet/--json/--trace/--events/--threads/--profile/--ranks/--trace-ranks/--metrics/--metrics-out/--blackbox)"
+                "unknown argument: {other} (suite {suite}; expected {})",
+                KNOWN.join("/")
             );
         }
     }
@@ -158,24 +175,6 @@ impl BenchArgs {
     /// single flag-parsing helper: the per-table binaries reject leftovers,
     /// the `fun3d-bench` driver layers its own flags on top of them.
     pub fn parse_known(default_scale: f64, argv: &[String]) -> (Self, Vec<String>) {
-        const KNOWN: [&str; 16] = [
-            "--scale",
-            "--full",
-            "--steps",
-            "--reps",
-            "--suite",
-            "--quiet",
-            "--json",
-            "--trace",
-            "--events",
-            "--threads",
-            "--profile",
-            "--ranks",
-            "--trace-ranks",
-            "--metrics",
-            "--metrics-out",
-            "--blackbox",
-        ];
         let mut out = Self::defaults(default_scale);
         let mut rest = Vec::new();
         let mut seen: Vec<&str> = Vec::new();
@@ -216,17 +215,9 @@ impl BenchArgs {
                     out.suite = Some(value(i, "--suite").clone());
                 }
                 "--quiet" => out.quiet = true,
-                "--json" => {
+                "--record" => {
                     i += 1;
-                    out.json = Some(value(i, "--json").clone());
-                }
-                "--trace" => {
-                    i += 1;
-                    out.trace = Some(value(i, "--trace").clone());
-                }
-                "--events" => {
-                    i += 1;
-                    out.events = Some(value(i, "--events").clone());
+                    out.record = Some(value(i, "--record").clone());
                 }
                 "--threads" => {
                     i += 1;
@@ -243,15 +234,7 @@ impl BenchArgs {
                 }
                 "--trace-ranks" => out.trace_ranks = true,
                 "--metrics" => out.metrics = true,
-                "--metrics-out" => {
-                    i += 1;
-                    out.metrics_out = Some(value(i, "--metrics-out").clone());
-                    out.metrics = true;
-                }
-                "--blackbox" => {
-                    i += 1;
-                    out.blackbox = Some(value(i, "--blackbox").clone());
-                }
+                "--blackbox" => out.blackbox = true,
                 other => rest.push(other.to_string()),
             }
             i += 1;
@@ -260,6 +243,10 @@ impl BenchArgs {
         assert!(out.reps >= 1, "--reps must be at least 1");
         assert!(out.threads >= 1, "--threads must be at least 1");
         assert!(out.ranks <= 1024, "--ranks out of range");
+        assert!(
+            !out.blackbox || out.record.is_some(),
+            "--blackbox needs --record <dir>: the flight recorder dumps into the record"
+        );
         (out, rest)
     }
 
@@ -291,93 +278,6 @@ impl BenchArgs {
         report
             .meta
             .push(("nthreads".into(), self.threads.max(1).to_string()));
-    }
-
-    /// Write `report` to the `--json` path when one was given.
-    pub fn emit_report(&self, report: &PerfReport) {
-        if let Some(path) = &self.json {
-            report
-                .write_json(path)
-                .expect("writing --json report failed");
-            println!("\nwrote perf report to {path}");
-        }
-    }
-
-    /// Write a chrome trace of `snaps` to the `--trace` path when given.
-    pub fn emit_trace(&self, snaps: &[Snapshot]) {
-        if let Some(path) = &self.trace {
-            std::fs::write(path, fun3d_telemetry::chrome_trace(snaps))
-                .expect("writing --trace chrome trace failed");
-            println!("wrote chrome trace to {path}");
-        }
-    }
-
-    /// Write `events` as `fun3d-events/1` JSONL to the `--events` path when
-    /// one was given.  An empty stream still writes its schema header, so
-    /// downstream tools can tell "no events" from "no file".
-    pub fn emit_events(&self, events: &EventStream) {
-        if let Some(path) = &self.events {
-            events
-                .write_jsonl(path)
-                .expect("writing --events stream failed");
-            println!("wrote event stream to {path}");
-        }
-    }
-
-    /// Write the collected time series to the `--metrics-out` path when one
-    /// was given: `fun3d-metrics/1` JSONL at the path itself, Prometheus
-    /// text exposition at `<path>.prom`.
-    pub fn emit_metrics(&self, metrics: &SeriesSet) {
-        if let Some(path) = &self.metrics_out {
-            metrics
-                .write_jsonl(path)
-                .expect("writing --metrics-out dump failed");
-            let prom = format!("{path}.prom");
-            std::fs::write(&prom, metrics.prometheus("fun3d"))
-                .expect("writing --metrics-out Prometheus exposition failed");
-            println!("wrote metrics time series to {path} (+ {prom})");
-        }
-    }
-
-    /// Arm the flight recorder when `--blackbox <path>` was given: the
-    /// rings capture the run's most recent spans/events/counters and dump
-    /// to the path on panic or solver anomaly.  A no-op otherwise, so
-    /// recorder-off runs pay exactly one relaxed atomic load per probe.
-    pub fn arm_blackbox(&self) {
-        if let Some(path) = &self.blackbox {
-            fun3d_telemetry::blackbox::arm(fun3d_telemetry::blackbox::DEFAULT_CAPACITY, Some(path));
-        }
-    }
-
-    /// Structured exit for anomaly-terminated runs: when the outcome's
-    /// event stream carries [`EventRecord::Anomaly`] records, print one
-    /// line per anomaly to stderr and exit with status 3 (distinct from
-    /// panics and from gate regressions).  Healthy runs return untouched.
-    pub fn exit_if_anomalous(&self, outcome: &RunOutcome) {
-        let anomalies: Vec<&EventRecord> = outcome
-            .events
-            .records
-            .iter()
-            .filter(|e| matches!(e, EventRecord::Anomaly { .. }))
-            .collect();
-        if anomalies.is_empty() {
-            return;
-        }
-        for ev in &anomalies {
-            if let EventRecord::Anomaly {
-                kind,
-                step,
-                residual_norm,
-                detail,
-            } = ev
-            {
-                eprintln!(
-                    "anomaly: {kind} at step {step} (residual {residual_norm:.3e}): {detail}"
-                );
-            }
-        }
-        eprintln!("run terminated on {} solver anomaly(ies)", anomalies.len());
-        std::process::exit(3);
     }
 
     /// When `--profile` is on, arm the global region profiler (enable and
@@ -463,19 +363,19 @@ macro_rules! say {
     };
 }
 
-/// The result of one experiment run: a `fun3d-perf/1` report plus the
-/// per-rank telemetry snapshots (empty when the runner records no timeline).
+/// The result of one experiment run: everything its [`record`] holds.
 #[derive(Debug, Clone, Default)]
 pub struct RunOutcome {
-    /// The machine-readable report (`--json` serializes exactly this).
+    /// The machine-readable report ([`record::REPORT`]).
     pub report: PerfReport,
-    /// Per-rank snapshots for chrome-trace export (`--trace`).
+    /// Per-rank snapshots for the chrome trace ([`record::TRACE`]; empty
+    /// when the runner records no timeline).
     pub telemetry: Vec<Snapshot>,
-    /// The run's `fun3d-events/1` stream (`--events` serializes exactly
-    /// this; empty when the runner emits no events).
+    /// The run's `fun3d-events/1` stream ([`record::EVENTS`]; empty when
+    /// the runner emits no events).
     pub events: EventStream,
-    /// The run's `fun3d-metrics/1` time series (`--metrics-out` serializes
-    /// exactly this; empty when the runner collects no live metrics).
+    /// The run's `fun3d-metrics/1` time series ([`record::METRICS`]; empty
+    /// when the runner collects no live metrics).
     pub metrics: SeriesSet,
 }
 
@@ -483,9 +383,7 @@ impl From<PerfReport> for RunOutcome {
     fn from(report: PerfReport) -> Self {
         Self {
             report,
-            telemetry: Vec::new(),
-            events: EventStream::default(),
-            metrics: SeriesSet::default(),
+            ..Self::default()
         }
     }
 }
@@ -524,6 +422,42 @@ pub trait Experiment: Send + Sync {
     /// microbenchmarks.
     fn supports_blackbox(&self) -> bool {
         false
+    }
+}
+
+/// The whole body of every regenerator binary: parse the shared flags for
+/// the registered experiment `name` at its registry default scale, run it
+/// once, write its record when `--record` was given, and exit with status
+/// 3 when the run ended on solver anomalies (distinct from panics and from
+/// gate regressions), printing one line per anomaly to stderr.
+pub fn run_bin(name: &str) {
+    let exp = runners::find(name).unwrap_or_else(|| panic!("no registered experiment {name}"));
+    let args = BenchArgs::parse_for(name, exp.default_scale());
+    let out = exp.run(&args);
+    if let Some(dir) = &args.record {
+        record::write(dir, &out).unwrap_or_else(|e| panic!("writing record {dir} failed: {e}"));
+        println!("\nwrote run record to {dir}");
+    }
+    let anomalies: Vec<String> = out
+        .events
+        .records
+        .iter()
+        .filter_map(|e| match e {
+            EventRecord::Anomaly {
+                kind,
+                step,
+                residual_norm,
+                detail,
+            } => Some(format!(
+                "anomaly: {kind} at step {step} (residual {residual_norm:.3e}): {detail}"
+            )),
+            _ => None,
+        })
+        .collect();
+    if !anomalies.is_empty() {
+        anomalies.iter().for_each(|a| eprintln!("{a}"));
+        eprintln!("run terminated on {} solver anomaly(ies)", anomalies.len());
+        std::process::exit(3);
     }
 }
 
@@ -670,13 +604,25 @@ mod tests {
         IluFactors::factor(&jac, &IluOptions::with_fill(0)).expect("factorable");
     }
 
+    fn argv(flags: &[&str]) -> Vec<String> {
+        flags.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// The message `f` panics with, with the panic hook silenced meanwhile.
+    fn panic_message<R>(f: impl FnOnce() -> R + std::panic::UnwindSafe) -> String {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let err = std::panic::catch_unwind(f).err().expect("expected a panic");
+        std::panic::set_hook(prev);
+        err.downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()).unwrap())
+    }
+
     #[test]
     fn parse_known_accepts_rank_flags_and_returns_leftovers() {
-        let argv: Vec<String> = ["--ranks", "8", "--trace-ranks", "--whoops"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (args, rest) = BenchArgs::parse_known(0.5, &argv);
+        let (args, rest) =
+            BenchArgs::parse_known(0.5, &argv(&["--ranks", "8", "--trace-ranks", "--whoops"]));
         assert_eq!(args.ranks, 8);
         assert!(args.trace_ranks);
         assert_eq!(rest, vec!["--whoops".to_string()]);
@@ -686,81 +632,61 @@ mod tests {
     fn parse_known_accepts_metrics_flags() {
         let (args, rest) = BenchArgs::parse_known(0.5, &[]);
         assert!(rest.is_empty());
-        assert_eq!(args.metrics_out, None);
-        let argv: Vec<String> = ["--metrics"].iter().map(|s| s.to_string()).collect();
-        let (args, rest) = BenchArgs::parse_known(0.5, &argv);
+        assert!(!args.metrics);
+        assert_eq!(args.record, None);
+        let (args, rest) = BenchArgs::parse_known(0.5, &argv(&["--metrics"]));
         assert!(args.metrics);
         assert!(rest.is_empty());
-        // --metrics-out implies --metrics.
-        let argv: Vec<String> = ["--metrics-out", "m.jsonl"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (args, rest) = BenchArgs::parse_known(0.5, &argv);
+        // The series land in the record, which takes its directory.
+        let (args, rest) = BenchArgs::parse_known(0.5, &argv(&["--metrics", "--record", "m"]));
         assert!(args.metrics);
-        assert_eq!(args.metrics_out.as_deref(), Some("m.jsonl"));
+        assert_eq!(args.record.as_deref(), Some("m"));
         assert!(rest.is_empty());
+        // Repeats are caught like every other shared flag.
+        let (args, _) = BenchArgs::parse_known(0.5, &argv(&["--record", "a", "--record", "b"]));
+        assert_eq!(args.duplicates, vec!["--record".to_string()]);
     }
 
     #[test]
     fn parse_known_accepts_blackbox_flag() {
         let (args, rest) = BenchArgs::parse_known(0.5, &[]);
         assert!(rest.is_empty());
-        assert_eq!(args.blackbox, None);
-        let argv: Vec<String> = ["--blackbox", "bb.jsonl"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (args, rest) = BenchArgs::parse_known(0.5, &argv);
-        assert_eq!(args.blackbox.as_deref(), Some("bb.jsonl"));
+        assert!(!args.blackbox);
+        let (args, rest) = BenchArgs::parse_known(0.5, &argv(&["--blackbox", "--record", "r"]));
+        assert!(args.blackbox);
+        assert_eq!(args.record.as_deref(), Some("r"));
         assert!(rest.is_empty());
         // Repeats are caught like every other shared flag.
-        let argv: Vec<String> = ["--blackbox", "a", "--blackbox", "b"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (args, _) = BenchArgs::parse_known(0.5, &argv);
+        let repeated = argv(&["--blackbox", "--record", "r", "--blackbox"]);
+        let (args, _) = BenchArgs::parse_known(0.5, &repeated);
         assert_eq!(args.duplicates, vec!["--blackbox".to_string()]);
+        // The dump goes into the record, so the switch alone is refused.
+        let msg = panic_message(|| BenchArgs::parse_known(0.5, &argv(&["--blackbox"])));
+        assert!(
+            msg.contains("--blackbox") && msg.contains("--record"),
+            "{msg}"
+        );
     }
 
     #[test]
     fn duplicate_flags_are_detected_and_rejected_by_suite_name() {
         // `--threads 2 --threads 4` used to silently last-win; it must now
         // be detected by the parser and rejected with the suite named.
-        let argv: Vec<String> = ["--threads", "2", "--scale", "0.1", "--threads", "4"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (args, rest) = BenchArgs::parse_known(0.5, &argv);
+        let flags = argv(&["--threads", "2", "--scale", "0.1", "--threads", "4"]);
+        let (args, rest) = BenchArgs::parse_known(0.5, &flags);
         assert!(rest.is_empty());
         assert_eq!(args.duplicates, vec!["--threads".to_string()]);
         let msg = args.duplicate_error("serve").expect("duplicate reported");
         assert!(msg.contains("--threads") && msg.contains("serve"), "{msg}");
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let err = std::panic::catch_unwind(|| args.reject_duplicates("serve"))
-            .expect_err("repeated flag must be rejected");
-        std::panic::set_hook(prev);
-        let panic_msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()).unwrap());
+        let panic_msg = panic_message(|| args.reject_duplicates("serve"));
         assert!(
             panic_msg.contains("--threads") && panic_msg.contains("serve"),
             "{panic_msg}"
         );
         // Boolean flags repeat-checked too; singles stay clean.
-        let argv: Vec<String> = ["--quiet", "--quiet"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (args, _) = BenchArgs::parse_known(0.5, &argv);
+        let (args, _) = BenchArgs::parse_known(0.5, &argv(&["--quiet", "--quiet"]));
         assert_eq!(args.duplicates, vec!["--quiet".to_string()]);
-        let argv: Vec<String> = ["--threads", "2", "--quiet"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (args, _) = BenchArgs::parse_known(0.5, &argv);
+        let (args, _) = BenchArgs::parse_known(0.5, &argv(&["--threads", "2", "--quiet"]));
         assert!(args.duplicates.is_empty());
         assert!(args.duplicate_error("spmv").is_none());
     }
@@ -769,25 +695,16 @@ mod tests {
     fn every_experiment_rejects_typoed_flags_by_suite_name() {
         // Every binary funnels through `parse_for(name, ..)`, which calls
         // `reject_leftovers`; the panic must name the suite and the flag so
-        // a typo in a 17-binary sweep is attributable from the message.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
+        // a typo in a 17-binary sweep is attributable from the message,
+        // and list the shared flags.
         for e in crate::runners::all() {
             let name = e.name();
-            let err = std::panic::catch_unwind(|| {
-                BenchArgs::reject_leftovers(name, &["--typo".to_string()]);
-            })
-            .expect_err("typo'd flag must be rejected");
-            let msg = err
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()).unwrap());
+            let msg = panic_message(|| BenchArgs::reject_leftovers(name, &argv(&["--typo"])));
             assert!(
-                msg.contains(name) && msg.contains("--typo"),
+                msg.contains(name) && msg.contains("--typo") && msg.contains("--record"),
                 "suite {name}: {msg}"
             );
         }
-        std::panic::set_hook(prev);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! With `--metrics` the engine runs with live telemetry: a background
 //! collector samples queue depth, in-flight count, windowed throughput and
 //! latency quantiles, cache hit rate, and SLO burn into a `fun3d-metrics/1`
-//! time series (`--metrics-out` dumps it); per-request traces land in the
-//! `--events` stream; each worker gets its own chrome-trace lane; and per
+//! time series (the record's `metrics.jsonl`); per-request traces land in
+//! the event stream; each worker gets its own chrome-trace lane; and per
 //! rate the report carries `rate{i}:burn` and `rate{i}:health_state`
 //! (0 ok / 1 degraded / 2 saturated).  Solver results are bitwise identical
 //! with metrics on or off.

@@ -221,7 +221,7 @@ pub fn run(args: &BenchArgs) -> RunOutcome {
     );
 
     // Table 3b is read back from the reports' simulated span trees, not the
-    // model points: what you see is exactly what `--json` serializes.
+    // model points: what you see is exactly what the record's report holds.
     let rows: Vec<Vec<String>> = reports
         .iter()
         .map(|r| {

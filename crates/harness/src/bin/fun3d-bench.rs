@@ -2,17 +2,20 @@
 //!
 //! ```text
 //! fun3d-bench list [--json]
-//! fun3d-bench run --suite quick [--reps n] [--scale f] [--threads n] [--profile]
-//!     [--ranks n] [--trace-ranks] [--metrics] [--verbose]
-//!     [--baseline b.json] [--save-baseline b.json]
-//!     [--markdown report.md] [--json report.json]
-//!     [--events-dir dir] [--tol-rel f] [--tol-mad-k f] [--tol-abs f]
+//! fun3d-bench run --suite quick [--reps n] [--scale f | --full] [--steps n]
+//!     [--threads n] [--profile] [--ranks n] [--trace-ranks] [--metrics]
+//!     [--verbose] [--baseline b.json] [--save-baseline b.json]
+//!     [--record dir] [--tol-rel f] [--tol-mad-k f] [--tol-abs f]
 //! ```
+//!
+//! `--record dir` writes each experiment's representative repetition as the
+//! run record `dir/<name>/`, and the suite verdicts as `dir/suite.json`
+//! (`fun3d-gate/1`) and `dir/suite.md`.
 //!
 //! Exit status: 0 when no experiment regressed against the baseline (or no
 //! baseline was given), 1 when at least one did, 2 on usage errors.
 
-use fun3d_bench::{print_table, runners, BenchArgs};
+use fun3d_bench::{print_table, record, runners, BenchArgs};
 use fun3d_harness::baseline::Baseline;
 use fun3d_harness::compare::Verdict;
 use fun3d_harness::gate::{run_suite, GateConfig};
@@ -20,8 +23,8 @@ use fun3d_harness::gate::{run_suite, GateConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: fun3d-bench list [--json]\n       fun3d-bench run --suite <smoke|quick|full|EXPERIMENT> \
-         [--reps n] [--scale f] [--threads n] [--profile] [--ranks n] [--trace-ranks] [--metrics] [--verbose]\n           [--baseline b.json] [--save-baseline b.json] \
-         [--markdown out.md] [--json out.json]\n           [--events-dir dir] \
+         [--reps n] [--scale f | --full] [--steps n] [--threads n] [--profile] [--ranks n] [--trace-ranks] [--metrics]\n           \
+         [--verbose] [--baseline b.json] [--save-baseline b.json] [--record dir] \
          [--tol-rel f] [--tol-mad-k f] [--tol-abs f]"
     );
     std::process::exit(2);
@@ -69,8 +72,17 @@ fn list(argv: &[String]) {
 }
 
 fn run(argv: &[String]) {
-    // Shared flags first (--scale/--reps/--suite/--quiet/--json/...), then
-    // the driver-only flags from the leftovers.
+    // The flight recorder arms one bench binary's run; a suite has no
+    // single record for it to dump into.
+    if argv.iter().any(|a| a == "--blackbox") {
+        eprintln!(
+            "--blackbox is not accepted by fun3d-bench run; arm it on one bench binary \
+             with --blackbox --record <dir>"
+        );
+        usage();
+    }
+    // Shared flags first (`fun3d_bench::KNOWN`), then the driver-only flags
+    // from the leftovers.
     let (args, rest) = BenchArgs::parse_known(1.0, argv);
     let suite_name = args.suite.clone().unwrap_or_else(|| "quick".into());
     // A repeated value flag (`--threads 2 --threads 4`) would silently
@@ -79,26 +91,23 @@ fn run(argv: &[String]) {
         eprintln!("{msg}");
         usage();
     }
+    let given = |flag: &str| argv.iter().any(|a| a == flag);
     let mut cfg = GateConfig {
         suite: suite_name,
         // Treat explicitly-passed shared flags as overrides for every entry.
-        reps: argv.iter().any(|a| a == "--reps").then_some(args.reps),
-        scale: argv.iter().any(|a| a == "--scale").then_some(args.scale),
-        steps: argv.iter().any(|a| a == "--steps").then_some(args.steps),
-        threads: argv
-            .iter()
-            .any(|a| a == "--threads")
-            .then_some(args.threads),
-        profile: argv.iter().any(|a| a == "--profile").then_some(true),
-        ranks: argv.iter().any(|a| a == "--ranks").then_some(args.ranks),
-        trace_ranks: argv.iter().any(|a| a == "--trace-ranks").then_some(true),
-        metrics: argv.iter().any(|a| a == "--metrics").then_some(true),
-        verbose: false,
+        reps: given("--reps").then_some(args.reps),
+        scale: (given("--scale") || given("--full")).then_some(args.scale),
+        steps: given("--steps").then_some(args.steps),
+        threads: given("--threads").then_some(args.threads),
+        profile: args.profile,
+        ranks: given("--ranks").then_some(args.ranks),
+        trace_ranks: args.trace_ranks,
+        metrics: args.metrics,
+        record: args.record,
         ..Default::default()
     };
     let mut baseline_path: Option<String> = None;
     let mut save_baseline: Option<String> = None;
-    let mut markdown: Option<String> = None;
     let mut i = 0;
     let value = |rest: &[String], i: usize, flag: &str| -> String {
         rest.get(i)
@@ -117,10 +126,6 @@ fn run(argv: &[String]) {
             "--save-baseline" => {
                 i += 1;
                 save_baseline = Some(value(&rest, i, "--save-baseline"));
-            }
-            "--markdown" => {
-                i += 1;
-                markdown = Some(value(&rest, i, "--markdown"));
             }
             "--tol-rel" => {
                 i += 1;
@@ -142,10 +147,6 @@ fn run(argv: &[String]) {
                     eprintln!("--tol-abs expects a number");
                     usage()
                 });
-            }
-            "--events-dir" => {
-                i += 1;
-                cfg.events_dir = Some(value(&rest, i, "--events-dir"));
             }
             "--verbose" => cfg.verbose = true,
             other => {
@@ -191,7 +192,11 @@ fn run(argv: &[String]) {
             let count = |v: Verdict| o.comparisons.iter().filter(|c| c.verdict == v).count();
             vec![
                 o.run.name.clone(),
-                format!("{}x{}", o.entry.reps, o.entry.scale),
+                format!(
+                    "{}x{}",
+                    o.run.runs.len(),
+                    cfg.scale.unwrap_or(o.entry.scale)
+                ),
                 o.comparisons.len().to_string(),
                 count(Verdict::Regressed).to_string(),
                 count(Verdict::Improved).to_string(),
@@ -278,19 +283,17 @@ fn run(argv: &[String]) {
         });
         println!("\nsaved baseline to {path}");
     }
-    if let Some(path) = &markdown {
-        std::fs::write(path, outcome.to_markdown()).unwrap_or_else(|e| {
-            eprintln!("failed to write markdown {path}: {e}");
-            std::process::exit(2);
-        });
-        println!("wrote markdown report to {path}");
-    }
-    if let Some(path) = &args.json {
-        std::fs::write(path, outcome.to_json().render()).unwrap_or_else(|e| {
-            eprintln!("failed to write json {path}: {e}");
-            std::process::exit(2);
-        });
-        println!("wrote gate report to {path}");
+    if let Some(dir) = &cfg.record {
+        let write = |name: &str, text: String| {
+            let path = record::path(dir, name);
+            std::fs::write(&path, text).unwrap_or_else(|e| {
+                eprintln!("failed to write {path}: {e}");
+                std::process::exit(2);
+            });
+        };
+        write("suite.json", outcome.to_json().render());
+        write("suite.md", outcome.to_markdown());
+        println!("wrote run records and suite verdicts to {dir}");
     }
 
     let verdict = outcome.verdict();

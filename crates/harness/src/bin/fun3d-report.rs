@@ -1,21 +1,22 @@
 //! `fun3d-report`: inspect, diff, and diagnose `fun3d-perf/1` runs.
 //!
 //! ```text
-//! fun3d-report show <report.json> [--events stream.jsonl]
-//! fun3d-report <report.json>                  # implicit show
-//! fun3d-report profile <report.json> [<other.json>]
-//! fun3d-report comm <report.json> [<other.json>]
-//! fun3d-report serve <report.json>
-//! fun3d-report live <report.json> [<other.json>]
-//! fun3d-report diff <a.json> <b.json> [--tol-rel f] [--tol-mad-k f] [--tol-abs f]
-//! fun3d-report explain [<report.json>] [<other.json>] [--blackbox dump.jsonl]
+//! fun3d-report show <record>
+//! fun3d-report <record>                       # implicit show
+//! fun3d-report profile <record> [<other>]
+//! fun3d-report comm <record> [<other>]
+//! fun3d-report serve <record>
+//! fun3d-report live <record> [<other>]
+//! fun3d-report diff <a> <b> [--tol-rel f] [--tol-mad-k f] [--tol-abs f]
+//! fun3d-report explain <record> [<other>]
 //! ```
 //!
-//! Every subcommand funnels its arguments through one shared loader
-//! (`SubArgs`): positional report paths, an `--events` stream override for
-//! the first report, `--blackbox` for a flight-recorder dump, and the
-//! `--tol-*` tolerance knobs — with sibling `<stem>.events.jsonl` /
-//! `<stem>.metrics.jsonl` autodiscovery on every load.
+//! Every positional argument is a run record: the directory a bench
+//! binary's `--record <dir>` wrote, or one experiment's `<dir>/<name>/`
+//! from `fun3d-bench run --record <dir>` (file names in
+//! `fun3d_bench::record`).  Every subcommand funnels its arguments through
+//! one shared parser (`SubArgs`): the record directories and the `--tol-*`
+//! tolerance knobs.
 //!
 //! `show` renders the run: metrics, the Table 3-style phase breakdown with
 //! p50/p95/p99 tail latencies and modeled cache/TLB counters, a per-region
@@ -38,8 +39,8 @@
 //! `serve` renders the serving view of a `serve` run: the open-loop rate
 //! sweep, the saturation knee, and the cache / admission summary.
 //!
-//! `live` renders the `fun3d-metrics/1` time-series sidecar of a
-//! `--metrics` run: sparkline trend rows, the health-state timeline, and —
+//! `live` renders the `fun3d-metrics/1` time series of a `--metrics`
+//! run: sparkline trend rows, the health-state timeline, and —
 //! with a second report — a noise-aware per-series A/B diff.
 //!
 //! `diff` judges run B against run A with the gate's noise-aware verdicts.
@@ -49,38 +50,36 @@
 //! `--blackbox` flight-recorder dump into a ranked list of bottleneck
 //! hypotheses (bandwidth-bound / imbalance-bound / comm-wait-bound /
 //! latency-bound / anomaly-terminated) with evidence lines; with a second
-//! report it attributes the regression to the phase and cause that moved.
-//! `--blackbox` alone (no report) renders the dump a panicked run left.
+//! record it attributes the regression to the phase and cause that moved.
+//! A record holding only a dump renders what the panicked run left.
 //!
 //! Exit status: 0 on success (for `diff`, no regressions), 1 when a diff
 //! regressed, 2 on usage or I/O errors.
 
 use fun3d_harness::compare::Tolerance;
 use fun3d_harness::report_cli::{
-    render_comm, render_diff, render_explain, render_live, render_profile, render_serve,
+    explain_records, render_comm, render_diff, render_live, render_profile, render_serve,
     render_show, LoadedRun,
 };
-use fun3d_telemetry::blackbox::BlackboxDump;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: fun3d-report [show] <report.json> [--events stream.jsonl]\n       \
-         fun3d-report profile <report.json> [<other.json>]\n       \
-         fun3d-report comm <report.json> [<other.json>]\n       \
-         fun3d-report serve <report.json>\n       \
-         fun3d-report live <report.json> [<other.json>]\n       \
-         fun3d-report diff <a.json> <b.json> [--tol-rel f] [--tol-mad-k f] [--tol-abs f]\n       \
-         fun3d-report explain [<report.json>] [<other.json>] [--blackbox dump.jsonl]"
+        "usage: fun3d-report [show] <record>\n       \
+         fun3d-report profile <record> [<other>]\n       \
+         fun3d-report comm <record> [<other>]\n       \
+         fun3d-report serve <record>\n       \
+         fun3d-report live <record> [<other>]\n       \
+         fun3d-report diff <a> <b> [--tol-rel f] [--tol-mad-k f] [--tol-abs f]\n       \
+         fun3d-report explain <record> [<other>]\n\
+         where each <record> is a run record directory (--record <dir>)"
     );
     std::process::exit(2);
 }
 
-/// The argument shape every subcommand shares: positional report paths plus
-/// the flags that select sidecar files and tolerances.
+/// The argument shape every subcommand shares: positional record
+/// directories plus the tolerance flags.
 struct SubArgs {
     paths: Vec<String>,
-    events: Option<String>,
-    blackbox: Option<String>,
     tol: Tolerance,
 }
 
@@ -88,8 +87,6 @@ impl SubArgs {
     fn parse(argv: &[String]) -> Self {
         let mut out = Self {
             paths: Vec::new(),
-            events: None,
-            blackbox: None,
             tol: Tolerance::default(),
         };
         let value = |argv: &[String], i: usize, flag: &str| -> String {
@@ -109,14 +106,6 @@ impl SubArgs {
         let mut i = 0;
         while i < argv.len() {
             match argv[i].as_str() {
-                "--events" => {
-                    i += 1;
-                    out.events = Some(value(argv, i, "--events"));
-                }
-                "--blackbox" => {
-                    i += 1;
-                    out.blackbox = Some(value(argv, i, "--blackbox"));
-                }
                 "--tol-rel" => {
                     i += 1;
                     out.tol.rel = num(argv, i, "--tol-rel");
@@ -140,42 +129,28 @@ impl SubArgs {
         out
     }
 
-    /// Load the first path (with the `--events` override) and, when a
-    /// second path was named, that one too.  Any other arity is a usage
-    /// error.
+    /// Load the first record and, when a second was named, that one too.
+    /// Any other arity is a usage error.
     fn load_one_or_two(&self) -> (LoadedRun, Option<LoadedRun>) {
         match self.paths.as_slice() {
-            [r] => (load_or_die(r, self.events.as_deref()), None),
-            [r, o] => (
-                load_or_die(r, self.events.as_deref()),
-                Some(load_or_die(o, None)),
-            ),
+            [r] => (load_or_die(r), None),
+            [r, o] => (load_or_die(r), Some(load_or_die(o))),
             _ => usage(),
         }
     }
 
-    /// Load exactly one report; a second path is a usage error.
+    /// Load exactly one record; a second path is a usage error.
     fn load_exactly_one(&self) -> LoadedRun {
         match self.load_one_or_two() {
             (run, None) => run,
             _ => usage(),
         }
     }
-
-    /// Read and parse the `--blackbox` dump when one was named.
-    fn load_blackbox(&self) -> Option<BlackboxDump> {
-        self.blackbox.as_deref().map(|p| {
-            fun3d_telemetry::blackbox::read_dump(p).unwrap_or_else(|e| {
-                eprintln!("failed to load blackbox dump {p}: {e}");
-                std::process::exit(2);
-            })
-        })
-    }
 }
 
-fn load_or_die(report: &str, events: Option<&str>) -> LoadedRun {
-    LoadedRun::load(report, events).unwrap_or_else(|e| {
-        eprintln!("failed to load {report}: {e}");
+fn load_or_die(dir: &str) -> LoadedRun {
+    LoadedRun::load(dir).unwrap_or_else(|e| {
+        eprintln!("failed to load {dir}: {e}");
         std::process::exit(2);
     })
 }
@@ -213,19 +188,16 @@ fn show(sub: &SubArgs) {
 }
 
 fn explain(sub: &SubArgs) {
-    let blackbox = sub.load_blackbox();
-    let (run, other) = match sub.paths.as_slice() {
-        // A panicked run leaves only the dump behind; diagnose it alone.
-        [] if blackbox.is_some() => (None, None),
-        _ => {
-            let (run, other) = sub.load_one_or_two();
-            (Some(run), other)
-        }
+    let (dir, other) = match sub.paths.as_slice() {
+        [r] => (r, None),
+        [r, o] => (r, Some(o.as_str())),
+        _ => usage(),
     };
-    print!(
-        "{}",
-        render_explain(run.as_ref(), other.as_ref(), blackbox.as_ref())
-    );
+    let text = explain_records(dir, other).unwrap_or_else(|e| {
+        eprintln!("failed to load {dir}: {e}");
+        std::process::exit(2);
+    });
+    print!("{text}");
 }
 
 fn diff(sub: &SubArgs) {

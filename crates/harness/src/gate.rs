@@ -7,7 +7,7 @@ use crate::calibrate::{calibrate_host, Calibration};
 use crate::compare::{compare_experiment, overall, MetricComparison, Tolerance, Verdict};
 use crate::run::{run_experiment, ExperimentRun};
 use crate::suite::{suite, SuiteEntry};
-use fun3d_bench::{runners, BenchArgs};
+use fun3d_bench::{record, runners, BenchArgs};
 use fun3d_telemetry::json::Value;
 
 /// What to run and how to judge it.
@@ -25,29 +25,25 @@ pub struct GateConfig {
     /// Override the thread-team size for every entry (`--threads`); `None`
     /// keeps each run's `BenchArgs` default (`FUN3D_THREADS` or 1).
     pub threads: Option<usize>,
-    /// Force per-thread region profiling on or off for every entry
-    /// (`--profile`); `None` keeps each run's `BenchArgs` default (off).
-    pub profile: Option<bool>,
+    /// Per-thread region profiling for every entry (`--profile`).
+    pub profile: bool,
     /// Override the simulated rank-count cap for every entry (`--ranks`);
     /// `None` keeps each runner's default sweep.
     pub ranks: Option<usize>,
-    /// Force per-rank tracing on or off for every entry (`--trace-ranks`);
-    /// `None` keeps each run's `BenchArgs` default (off).
-    pub trace_ranks: Option<bool>,
-    /// Force live serving telemetry on or off for every entry
-    /// (`--metrics`); `None` keeps each run's `BenchArgs` default (off).
-    /// Only runners that serve requests react.
-    pub metrics: Option<bool>,
+    /// Per-rank tracing for every entry (`--trace-ranks`).
+    pub trace_ranks: bool,
+    /// Live serving telemetry for every entry (`--metrics`); only runners
+    /// that serve requests react.
+    pub metrics: bool,
     /// Comparison tolerances.
     pub tol: Tolerance,
     /// Show per-experiment tables and commentary while running.
     pub verbose: bool,
     /// STREAM array length for calibration (doubles per array).
     pub calibrate_n: usize,
-    /// When set, write each experiment's representative report to
-    /// `<dir>/<name>.json` and its event stream to
-    /// `<dir>/<name>.events.jsonl` (the inputs `fun3d-report` inspects).
-    pub events_dir: Option<String>,
+    /// When set, write each experiment's representative repetition as the
+    /// record `<dir>/<name>/` (the input `fun3d-report` inspects).
+    pub record: Option<String>,
 }
 
 impl Default for GateConfig {
@@ -58,14 +54,14 @@ impl Default for GateConfig {
             scale: None,
             steps: None,
             threads: None,
-            profile: None,
+            profile: false,
             ranks: None,
-            trace_ranks: None,
-            metrics: None,
+            trace_ranks: false,
+            metrics: false,
             tol: Tolerance::default(),
             verbose: false,
             calibrate_n: 2 * 1024 * 1024,
-            events_dir: None,
+            record: None,
         }
     }
 }
@@ -312,31 +308,20 @@ pub fn run_suite(cfg: &GateConfig, baseline: Option<&Baseline>) -> Result<SuiteO
             reps: cfg.reps.unwrap_or(entry.reps),
             quiet: !cfg.verbose,
             threads: cfg.threads.unwrap_or(defaults.threads),
-            profile: cfg.profile.unwrap_or(defaults.profile),
+            profile: cfg.profile,
             ranks: cfg.ranks.unwrap_or(defaults.ranks),
-            trace_ranks: cfg.trace_ranks.unwrap_or(defaults.trace_ranks),
-            metrics: cfg.metrics.unwrap_or(defaults.metrics),
+            trace_ranks: cfg.trace_ranks,
+            metrics: cfg.metrics,
             ..defaults
         };
+        let dir = cfg.record.as_ref().map(|d| record::path(d, entry.name));
+        if let Some(dir) = &dir {
+            record::start(dir).unwrap_or_else(|e| panic!("starting record {dir} failed: {e}"));
+        }
         let run = run_experiment(exp.as_ref(), &args, entry.warmup);
-        if let Some(dir) = &cfg.events_dir {
-            std::fs::create_dir_all(dir)
-                .unwrap_or_else(|e| panic!("creating events dir {dir} failed: {e}"));
-            let json_path = format!("{dir}/{}.json", entry.name);
-            run.representative()
-                .write_json(&json_path)
-                .unwrap_or_else(|e| panic!("writing {json_path} failed: {e}"));
-            let ev_path = format!("{dir}/{}.events.jsonl", entry.name);
-            run.representative_events()
-                .write_jsonl(&ev_path)
-                .unwrap_or_else(|e| panic!("writing {ev_path} failed: {e}"));
-            let metrics = run.representative_metrics();
-            if !metrics.is_empty() {
-                let m_path = format!("{dir}/{}.metrics.jsonl", entry.name);
-                metrics
-                    .write_jsonl(&m_path)
-                    .unwrap_or_else(|e| panic!("writing {m_path} failed: {e}"));
-            }
+        if let Some(dir) = &dir {
+            record::write(dir, run.representative())
+                .unwrap_or_else(|e| panic!("writing record {dir} failed: {e}"));
         }
         let comparisons = compare_experiment(
             &run.summaries,
@@ -350,7 +335,7 @@ pub fn run_suite(cfg: &GateConfig, baseline: Option<&Baseline>) -> Result<SuiteO
             Verdict::UnknownMetric
         };
         let models = exp
-            .model(run.representative(), &calibration.machine)
+            .model(&run.representative().report, &calibration.machine)
             .into_iter()
             .map(|e| ModelLine {
                 measured: run

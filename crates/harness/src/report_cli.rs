@@ -8,82 +8,58 @@
 //! tree (with p50/p95/p99 tail latencies and modeled cache/TLB counters),
 //! scatter traffic, and checkpoints.  `diff` answers "what changed": every
 //! metric of run B judged against run A as a single-sample baseline.
-//! `live` answers "how did it behave over time": the `fun3d-metrics/1`
-//! sidecar rendered as terminal sparkline tables with SLO burn and health
-//! transitions, and a noise-aware per-series A/B diff.
+//! `live` answers "how did it behave over time": the record's
+//! `fun3d-metrics/1` series rendered as terminal sparkline tables with SLO
+//! burn and health transitions, and a noise-aware per-series A/B diff.
 
 use crate::baseline::{ExperimentBaseline, MetricBaseline};
 use crate::compare::{compare_experiment, higher_is_better, Tolerance, Verdict};
 use crate::stats::{summarize, Summary};
+use fun3d_bench::record;
 use fun3d_telemetry::blackbox::{BlackboxDump, FlightRecord};
 use fun3d_telemetry::events::{convergence_table, EventRecord, EventStream};
 use fun3d_telemetry::metrics::SeriesSet;
 use fun3d_telemetry::report::PerfReport;
+use std::path::Path;
 
-/// A report plus the event stream and live-metrics time series that rode
-/// along with it.
+/// A run record's report plus the event stream and live-metrics time
+/// series that rode along with it.
 #[derive(Debug, Clone)]
 pub struct LoadedRun {
-    /// Path the report was loaded from (for headings).
+    /// The record directory the run was loaded from (for headings).
     pub path: String,
     /// The parsed report.
     pub report: PerfReport,
-    /// The run's event stream; empty when none was found.
+    /// The run's event stream; empty when the record has none.
     pub events: EventStream,
-    /// The run's `fun3d-metrics/1` time series; empty when none was found.
+    /// The run's `fun3d-metrics/1` time series; empty when the record has
+    /// none.
     pub metrics: SeriesSet,
 }
 
-/// The sibling event-stream path the gate writes next to a report:
-/// `runs/table1.json` -> `runs/table1.events.jsonl`.
-pub fn sibling_events_path(report_path: &str) -> String {
-    let stem = report_path.strip_suffix(".json").unwrap_or(report_path);
-    format!("{stem}.events.jsonl")
-}
-
-/// The sibling metrics path the serve bin and the gate write next to a
-/// report: `runs/serve.json` -> `runs/serve.metrics.jsonl`.
-pub fn sibling_metrics_path(report_path: &str) -> String {
-    let stem = report_path.strip_suffix(".json").unwrap_or(report_path);
-    format!("{stem}.metrics.jsonl")
-}
-
 impl LoadedRun {
-    /// Load a report plus its event stream and metrics sidecar.
-    /// `events_path = None` autodiscovers the sibling `<stem>.events.jsonl`;
-    /// a missing sibling is fine (empty stream), but an explicitly named
-    /// file must parse.  The metrics sidecar `<stem>.metrics.jsonl` is
-    /// always autodiscovered the same way.
-    pub fn load(report_path: &str, events_path: Option<&str>) -> std::io::Result<Self> {
-        let report = PerfReport::read_json(report_path)?;
-        let events = match events_path {
-            Some(p) => EventStream::read_jsonl(p)?,
-            None => {
-                let sibling = sibling_events_path(report_path);
-                if std::path::Path::new(&sibling).exists() {
-                    EventStream::read_jsonl(&sibling)?
-                } else {
-                    EventStream::default()
-                }
-            }
-        };
-        let metrics_sibling = sibling_metrics_path(report_path);
-        let metrics = if std::path::Path::new(&metrics_sibling).exists() {
-            SeriesSet::read_jsonl(&metrics_sibling)?
-        } else {
-            SeriesSet::default()
-        };
+    /// Load the record in directory `dir` (see [`fun3d_bench::record`]):
+    /// its report, its event stream and its time series.  The report must
+    /// exist; a missing stream or series set loads empty.
+    pub fn load(dir: &str) -> std::io::Result<Self> {
+        let events = record_file(dir, record::EVENTS).map(|p| EventStream::read_jsonl(&p));
+        let metrics = record_file(dir, record::METRICS).map(|p| SeriesSet::read_jsonl(&p));
         Ok(Self {
-            path: report_path.to_string(),
-            report,
-            events,
-            metrics,
+            path: dir.to_string(),
+            report: PerfReport::read_json(&record::path(dir, record::REPORT))?,
+            events: events.transpose()?.unwrap_or_default(),
+            metrics: metrics.transpose()?.unwrap_or_default(),
         })
     }
 }
 
+/// The path of the record file `name` in `dir`, when the record holds it.
+fn record_file(dir: &str, name: &str) -> Option<String> {
+    Some(record::path(dir, name)).filter(|p| Path::new(p).exists())
+}
+
 /// Scalar metrics plus the derived span tail metrics, deduplicated — the
-/// metric set `diff` judges.  Raw `--json` reports from the bench bins have
+/// metric set `diff` judges.  Reports recorded by the bench bins have
 /// not been through the harness, so their `{path}:p95_s` entries exist only
 /// in span histograms; fold them in here so both flavors diff identically.
 pub fn effective_metrics(report: &PerfReport) -> Vec<(String, f64)> {
@@ -1067,8 +1043,8 @@ pub fn render_live(run: &LoadedRun, other: Option<&LoadedRun>) -> String {
     ));
     if run.metrics.is_empty() {
         out.push_str(
-            "\nno live metrics beside this report: rerun with --metrics so the\n\
-             collector writes the <stem>.metrics.jsonl time series this view\n\
+            "\nno live metrics in this record: rerun with --metrics so the\n\
+             collector writes the metrics.jsonl time series this view\n\
              renders.\n",
         );
         return out;
@@ -1660,7 +1636,7 @@ pub fn render_explain(
                 out.push_str(
                     "\nno diagnosis possible: the report carries no byte counters, region\n\
                      profiles, rank traces, histograms, or anomaly events.  Rerun with\n\
-                     --profile, --trace-ranks, or --events to give `explain` evidence.\n",
+                     --profile or --trace-ranks to give `explain` evidence.\n",
                 );
             } else {
                 out.push_str("\n## Ranked bottleneck hypotheses\n\n");
@@ -1704,6 +1680,26 @@ pub fn render_explain(
         out.push_str(&render_blackbox(bb));
     }
     out
+}
+
+/// `explain` over record directories: the run in `dir` (with its
+/// flight-recorder dump, when the record holds one) and, optionally, the
+/// run in `other` for A/B attribution.  A record that holds a dump but no
+/// report — a run that panicked — renders the dump alone.
+pub fn explain_records(dir: &str, other: Option<&str>) -> std::io::Result<String> {
+    let blackbox = record_file(dir, record::BLACKBOX)
+        .map(|p| fun3d_telemetry::blackbox::read_dump(&p))
+        .transpose()?;
+    let run = match blackbox {
+        Some(_) if record_file(dir, record::REPORT).is_none() => None,
+        _ => Some(LoadedRun::load(dir)?),
+    };
+    let other = other.map(LoadedRun::load).transpose()?;
+    Ok(render_explain(
+        run.as_ref(),
+        other.as_ref(),
+        blackbox.as_ref(),
+    ))
 }
 
 #[cfg(test)]
@@ -2050,7 +2046,7 @@ mod tests {
     }
 
     /// A run the way a `--metrics` serve sweep produces it: a metrics
-    /// sidecar with queue/throughput/latency series plus the SLO burn and
+    /// series set with queue/throughput/latency series plus the SLO burn and
     /// health-state series the collector samples from `Engine::health`.
     /// `scale` degrades the run: it divides throughput and multiplies
     /// queue depth and p99.
@@ -2087,7 +2083,7 @@ mod tests {
         assert!(out.contains("0.000s: ok"), "{out}");
         assert!(out.contains("1.600s: degraded"), "{out}");
         assert!(out.contains("peak burn 2.00x"), "{out}");
-        // Without a metrics sidecar the view degrades to a note.
+        // Without metrics in the record the view degrades to a note.
         let out = render_live(&sample_run(1.0), None);
         assert!(out.contains("no live metrics"), "{out}");
         assert!(out.contains("--metrics"), "{out}");
@@ -2117,25 +2113,37 @@ mod tests {
         assert!(out.contains("run B carries no live metrics"), "{out}");
     }
 
+    fn temp_record(tag: &str) -> String {
+        let dir =
+            std::env::temp_dir().join(format!("fun3d_report_cli_{tag}_{}", std::process::id()));
+        dir.display().to_string()
+    }
+
+    /// A full outcome written as a record loads back unchanged; a record
+    /// without an event stream loads with an empty one, not an error.
     #[test]
-    fn load_autodiscovers_sibling_events() {
-        let dir = std::env::temp_dir();
-        let rp = dir.join("fun3d_report_cli_test.json");
-        let rp = rp.to_str().unwrap().to_string();
-        let run = sample_run(1.0);
-        run.report.write_json(&rp).unwrap();
-        run.events.write_jsonl(&sibling_events_path(&rp)).unwrap();
-        let loaded = LoadedRun::load(&rp, None).unwrap();
-        assert_eq!(loaded.events, run.events);
-        std::fs::remove_file(&rp).ok();
-        std::fs::remove_file(sibling_events_path(&rp)).ok();
-        // Without the sibling the stream is empty, not an error.
-        let rp2 = dir.join("fun3d_report_cli_test2.json");
-        let rp2 = rp2.to_str().unwrap().to_string();
-        run.report.write_json(&rp2).unwrap();
-        let loaded = LoadedRun::load(&rp2, None).unwrap();
-        assert!(loaded.events.is_empty());
-        std::fs::remove_file(&rp2).ok();
+    fn a_record_round_trips_through_the_loader() {
+        let dir = temp_record("round_trip");
+        let tel = Registry::enabled(0);
+        drop(tel.span("nks"));
+        let outcome = fun3d_bench::RunOutcome {
+            report: sample_run(1.0).report,
+            telemetry: vec![tel.snapshot()],
+            events: sample_run(1.0).events,
+            metrics: live_run(1.0).metrics,
+        };
+        assert!(!outcome.events.is_empty() && !outcome.metrics.is_empty());
+        record::start(&dir).unwrap();
+        record::write(&dir, &outcome).unwrap();
+        assert!(Path::new(&record::path(&dir, record::TRACE)).exists());
+        let loaded = LoadedRun::load(&dir).unwrap();
+        assert_eq!(loaded.path, dir);
+        assert_eq!(loaded.report, outcome.report);
+        assert_eq!(loaded.events, outcome.events);
+        assert_eq!(loaded.metrics, outcome.metrics);
+        std::fs::remove_file(record::path(&dir, record::EVENTS)).unwrap();
+        assert!(LoadedRun::load(&dir).unwrap().events.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2245,5 +2253,16 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("## Flight recorder"), "{out}");
+        // A record holding only the dump — a run that panicked — renders
+        // it alone; without the dump, the missing report is an error.
+        let dir = temp_record("dump_only");
+        record::start(&dir).unwrap();
+        std::fs::write(record::path(&dir, record::BLACKBOX), &text).unwrap();
+        let out = explain_records(&dir, None).unwrap();
+        assert!(out.contains("1. anomaly-terminated"), "{out}");
+        assert!(out.contains("Flight recorder"), "{out}");
+        std::fs::remove_file(record::path(&dir, record::BLACKBOX)).unwrap();
+        assert!(explain_records(&dir, None).is_err());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

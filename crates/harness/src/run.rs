@@ -3,7 +3,7 @@
 //! metric to a robust summary.
 
 use crate::stats::{summarize, Summary};
-use fun3d_bench::{BenchArgs, Experiment};
+use fun3d_bench::{BenchArgs, Experiment, RunOutcome};
 use fun3d_telemetry::report::PerfReport;
 
 /// Environment variable holding a synthetic slowdown factor (test hook).
@@ -30,35 +30,18 @@ pub fn apply_slowdown(report: &mut PerfReport, factor: f64) {
 pub struct ExperimentRun {
     /// Experiment name.
     pub name: String,
-    /// One report per repetition, in order.
-    pub reports: Vec<PerfReport>,
-    /// One `fun3d-events/1` stream per repetition, in report order (empty
-    /// streams for experiments that emit no events).
-    pub events: Vec<fun3d_telemetry::events::EventStream>,
-    /// One `fun3d-metrics/1` time-series set per repetition, in report
-    /// order (empty sets for experiments without live metrics).
-    pub metrics: Vec<fun3d_telemetry::metrics::SeriesSet>,
+    /// One outcome (report, events, telemetry, metrics) per repetition, in
+    /// order.
+    pub runs: Vec<RunOutcome>,
     /// Robust summary per metric key, in first-report order.
     pub summaries: Vec<(String, Summary)>,
 }
 
 impl ExperimentRun {
-    /// The middle repetition's report — the representative one for model
-    /// comparison and `--json` export.
-    pub fn representative(&self) -> &PerfReport {
-        &self.reports[self.reports.len() / 2]
-    }
-
-    /// The middle repetition's event stream (pairs with
-    /// [`Self::representative`]).
-    pub fn representative_events(&self) -> &fun3d_telemetry::events::EventStream {
-        &self.events[self.events.len() / 2]
-    }
-
-    /// The middle repetition's live-metrics time series (pairs with
-    /// [`Self::representative`]).
-    pub fn representative_metrics(&self) -> &fun3d_telemetry::metrics::SeriesSet {
-        &self.metrics[self.metrics.len() / 2]
+    /// The middle repetition — the representative one for model comparison
+    /// and the `--record` directory.
+    pub fn representative(&self) -> &RunOutcome {
+        &self.runs[self.runs.len() / 2]
     }
 }
 
@@ -74,9 +57,7 @@ pub fn run_experiment(exp: &dyn Experiment, args: &BenchArgs, warmup: usize) -> 
     for _ in 0..warmup {
         exp.run(args);
     }
-    let mut reports = Vec::with_capacity(args.reps);
-    let mut events = Vec::with_capacity(args.reps);
-    let mut metrics = Vec::with_capacity(args.reps);
+    let mut runs = Vec::with_capacity(args.reps);
     for _ in 0..args.reps {
         let mut out = exp.run(args);
         // Tail-latency metrics from the span histograms join the scalar
@@ -97,16 +78,12 @@ pub fn run_experiment(exp: &dyn Experiment, args: &BenchArgs, warmup: usize) -> 
         if let Some(f) = slowdown {
             apply_slowdown(&mut out.report, f);
         }
-        reports.push(out.report);
-        events.push(out.events);
-        metrics.push(out.metrics);
+        runs.push(out);
     }
-    let summaries = summarize_reports(&reports);
+    let summaries = summarize_reports(&runs);
     ExperimentRun {
         name: exp.name().to_string(),
-        reports,
-        events,
-        metrics,
+        runs,
         summaries,
     }
 }
@@ -114,15 +91,16 @@ pub fn run_experiment(exp: &dyn Experiment, args: &BenchArgs, warmup: usize) -> 
 /// Reduce per-rep reports to per-metric robust summaries.  Metric keys are
 /// taken from the first report; keys missing from some repetition are
 /// summarized over the reps that have them.
-pub fn summarize_reports(reports: &[PerfReport]) -> Vec<(String, Summary)> {
-    let Some(first) = reports.first() else {
+pub fn summarize_reports(runs: &[RunOutcome]) -> Vec<(String, Summary)> {
+    let Some(first) = runs.first() else {
         return Vec::new();
     };
     first
+        .report
         .metrics
         .iter()
         .filter_map(|(key, _)| {
-            let xs: Vec<f64> = reports.iter().filter_map(|r| r.metric(key)).collect();
+            let xs: Vec<f64> = runs.iter().filter_map(|r| r.report.metric(key)).collect();
             summarize(&xs).map(|s| (key.clone(), s))
         })
         .collect()
@@ -131,7 +109,7 @@ pub fn summarize_reports(reports: &[PerfReport]) -> Vec<(String, Summary)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fun3d_bench::{ModelEstimate, RunOutcome};
+    use fun3d_bench::ModelEstimate;
     use fun3d_memmodel::machine::MachineSpec;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -177,13 +155,13 @@ mod tests {
         };
         let run = run_experiment(&exp, &args, 2);
         assert_eq!(exp.calls.load(Ordering::SeqCst), 5);
-        assert_eq!(run.reports.len(), 3);
+        assert_eq!(run.runs.len(), 3);
         // Kept reps are calls 2, 3, 4 -> times 12, 13, 14 -> median 13.
         let (key, s) = &run.summaries[0];
         assert_eq!(key, "time_s");
         assert_eq!(s.median, 13.0);
         assert_eq!(s.n, 3);
-        assert_eq!(run.representative().name, "fake");
+        assert_eq!(run.representative().report.name, "fake");
     }
 
     #[test]
@@ -215,8 +193,7 @@ mod tests {
             "p95 summary missing: {:?}",
             run.summaries.iter().map(|(k, _)| k).collect::<Vec<_>>()
         );
-        assert_eq!(run.events.len(), run.reports.len());
-        assert!(run.representative_events().is_empty());
+        assert!(run.representative().events.is_empty());
     }
 
     #[test]
@@ -236,7 +213,7 @@ mod tests {
         a.push_metric("only_first", 5.0);
         let mut b = PerfReport::new("x");
         b.push_metric("t", 3.0);
-        let s = summarize_reports(&[a, b]);
+        let s = summarize_reports(&[a.into(), b.into()]);
         let t = s.iter().find(|(k, _)| k == "t").unwrap();
         assert_eq!(t.1.median, 2.0);
         let of = s.iter().find(|(k, _)| k == "only_first").unwrap();

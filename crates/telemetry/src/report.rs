@@ -1,6 +1,6 @@
 //! The stable `fun3d-perf/1` JSON report schema.
 //!
-//! Every bench regenerator can emit one of these via `--json <path>`; the
+//! Every bench regenerator can write one via `--record <dir>`; the
 //! efficiency tooling reads them back to derive η_alg / η_impl columns.
 //! The schema is versioned (`"schema": "fun3d-perf/1"`) and round-trips
 //! exactly: floats are written in shortest round-trip form, and
